@@ -27,6 +27,7 @@ from .formats import (
     word_to_text,
 )
 from .fst import EPS, Fst, counterexample
+from .hankel import TOL_BINARY, TOL_RANK, build_hankel_set, default_mask_len, find_basis, numeric_rank
 from .loop import LoopConfig, format_trace, run, sample_attacker
 from .spectral import LearnResult, learn_pipeline
 from .supervisor import SynthesisResult, pattern_to_fst, synthesize, verify_resilient
@@ -75,8 +76,8 @@ def pipeline(
     plant: Fst,
     m_k: Fst,
     max_mask_len: int | None = None,
-    tol_rank: float = 1e-9,
-    tol_binary: float = 1e-6,
+    tol_rank: float = TOL_RANK,
+    tol_binary: float = TOL_BINARY,
     dump_dir: str | None = None,
 ) -> SynthesisResult:
     """Learn both channel attackers, synthesize, and verify."""
@@ -168,14 +169,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_hankel(args: argparse.Namespace) -> int:
-    from .hankel import build_hankel_set, find_basis, numeric_rank
-
     d = load_dataset(args.data)
     if not d.words:
         raise AnalysisError("hankel", "dataset is empty")
-    max_len = args.max_mask_len
-    if max_len is None:
-        max_len = max(0, (max(len(w) for w in d.words) - 1) // 2)
+    max_len = default_mask_len(d) if args.max_mask_len is None else args.max_mask_len
     hz = build_hankel_set(d, find_basis(d, max_len))
     psi, gamma = hz.mask.prefixes, hz.mask.suffixes
     sys.stdout.write(grid(hz.h_theta, psi, gamma, "H_theta"))
@@ -217,31 +214,34 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rank", type=float, default=1e-9, help="relative rank cutoff")
-    common.add_argument("--tol-binary", type=float, default=1e-6, help="binarization tolerance")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument(
+    # Flag groups, each attached only to the subcommands that use it.
+    rank = argparse.ArgumentParser(add_help=False)
+    rank.add_argument("--tol-rank", type=float, default=TOL_RANK, help="relative rank cutoff")
+    learning = argparse.ArgumentParser(add_help=False, parents=[rank])
+    learning.add_argument("--tol-binary", type=float, default=TOL_BINARY, help="binarization tolerance")
+    learning.add_argument(
         "--dump-intermediates", metavar="DIR", default=None, help="write intermediate matrices here"
     )
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="random seed")
 
     parser = argparse.ArgumentParser(prog="fstlearn", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("learn", parents=[common], help="learn an FST from a sample dataset")
+    p = sub.add_parser("learn", parents=[learning], help="learn an FST from a sample dataset")
     p.add_argument("--data", required=True, help="dataset file")
     p.add_argument("--out", required=True, help="output FST file")
     p.add_argument("--max-mask-len", type=int, default=None, help="mask word length bound")
     p.set_defaults(func=_cmd_learn)
 
-    p = sub.add_parser("synth", parents=[common], help="synthesize a candidate supervisor")
+    p = sub.add_parser("synth", help="synthesize a candidate supervisor")
     p.add_argument("--mk", required=True, help="desired-language FST file or pattern")
     p.add_argument("--sensor-attacker", required=True)
     p.add_argument("--actuator-attacker", required=True)
     p.add_argument("--out", required=True, help="output supervisor FST file")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("verify", parents=[common], help="check a supervisor for resilience")
+    p = sub.add_parser("verify", help="check a supervisor for resilience")
     p.add_argument("--plant", required=True)
     p.add_argument("--supervisor", required=True)
     p.add_argument("--sensor-attacker", required=True)
@@ -249,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mk", required=True, help="desired-language FST file or pattern")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("simulate", parents=[common], help="run the clocked control loop")
+    p = sub.add_parser("simulate", parents=[seeded], help="run the clocked control loop")
     p.add_argument("--plant", required=True)
     p.add_argument("--supervisor", required=True)
     p.add_argument("--sensor-attacker", required=True)
@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", default=None, help="trace file (default stdout)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sample", parents=[common], help="record attack words from an attacker FST")
+    p = sub.add_parser("sample", parents=[seeded], help="record attack words from an attacker FST")
     p.add_argument("--attacker", required=True)
     p.add_argument("--mode", choices=("random", "exhaustive"), default="random")
     p.add_argument("--n", type=int, default=50, help="number of random walks")
@@ -266,17 +266,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset file")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("hankel", parents=[common], help="print the Hankel matrices of a dataset")
+    p = sub.add_parser("hankel", parents=[rank], help="print the Hankel matrices of a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--max-mask-len", type=int, default=None)
     p.set_defaults(func=_cmd_hankel)
 
-    p = sub.add_parser("equiv", parents=[common], help="compare the languages of two FSTs")
+    p = sub.add_parser("equiv", help="compare the languages of two FSTs")
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("pipeline", parents=[common], help="learn both attackers, synthesize, verify")
+    p = sub.add_parser("pipeline", parents=[learning], help="learn both attackers, synthesize, verify")
     p.add_argument("--sensor-data", required=True)
     p.add_argument("--actuator-data", required=True)
     p.add_argument("--plant", required=True)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import FormatError, ResourceLimitError
 
@@ -51,7 +53,7 @@ class Fst:
     Transitions are (src, in, out, dst) quadruples. Explicit (eps, eps)
     transitions are rejected: the stay transition is implicit at every
     state. Alphabets are widened to cover the transitions and always
-    contain eps.
+    contain eps. `arcs` is the machine's transition index.
     """
 
     states: tuple[str, ...]
@@ -79,17 +81,27 @@ class Fst:
                 raise FormatError(f"transition ({s},{i},{o},{d}) references unknown state")
             if i == EPS and o == EPS:
                 raise FormatError("explicit (eps,eps) transition: the stay transition is implicit")
-            _check_symbol(i)
-            _check_symbol(o)
         inputs = frozenset(self.inputs) | {i for (_, i, _, _) in trans} | {EPS}
         outputs = frozenset(self.outputs) | {o for (_, _, o, _) in trans} | {EPS}
-        for sym in inputs | outputs:
+        for sym in sorted(inputs | outputs):
             _check_symbol(sym)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", trans)
         object.__setattr__(self, "finals", finals)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
+
+    @cached_property
+    def arcs(self) -> MappingProxyType[str, tuple[tuple[str, str, str], ...]]:
+        """Each state's explicit (in, out, dst) moves, sorted; built once, read-only."""
+        adj: dict[str, list[tuple[str, str, str]]] = {s: [] for s in self.states}
+        for (s, i, o, d) in self.transitions:
+            adj[s].append((i, o, d))
+        return MappingProxyType({s: tuple(sorted(moves)) for s, moves in adj.items()})
+
+    def __getstate__(self):
+        # A mappingproxy cannot be pickled; the index is rebuilt on first use.
+        return {k: v for k, v in self.__dict__.items() if k != "arcs"}
 
     def letters(self) -> set[Letter]:
         """Distinct pair letters appearing on explicit transitions."""
@@ -129,13 +141,25 @@ class SampleSet:
         return len(self.words)
 
 
-def _arcs(fst: Fst) -> dict[str, list[tuple[str, str, str]]]:
-    adj: dict[str, list[tuple[str, str, str]]] = {}
-    for (s, i, o, d) in fst.transitions:
-        adj.setdefault(s, []).append((i, o, d))
-    for lst in adj.values():
-        lst.sort()
-    return adj
+def _successors(fst: Fst, subset) -> dict[Letter, set[str]]:
+    """The states reached from a subset of states, per pair letter."""
+    moves: dict[Letter, set[str]] = {}
+    for s in subset:
+        for (i, o, d) in fst.arcs[s]:
+            moves.setdefault((i, o), set()).add(d)
+    return moves
+
+
+def _reachable(fst: Fst) -> list[str]:
+    """States reachable from the initial one, in BFS discovery order."""
+    order = [fst.initial]
+    seen = {fst.initial}
+    for s in order:
+        for (_, _, d) in fst.arcs[s]:
+            if d not in seen:
+                seen.add(d)
+                order.append(d)
+    return order
 
 
 def accepts(fst: Fst, w: Word) -> bool:
@@ -145,13 +169,11 @@ def accepts(fst: Fst, w: Word) -> bool:
     (eps, eps) letter in the input, if one slips in, is a no-op: the
     implicit stay absorbs it at every state.
     """
-    arcs = _arcs(fst)
     cur = {fst.initial}
     for letter in w:
         if letter == (EPS, EPS):
             continue
-        i, o = letter
-        cur = {d for s in cur for (i2, o2, d) in arcs.get(s, []) if i2 == i and o2 == o}
+        cur = _successors(fst, cur).get(tuple(letter))
         if not cur:
             return False
     return bool(cur & fst.finals)
@@ -175,15 +197,7 @@ def trim(fst: Fst) -> Fst:
     State names are preserved. If the language is empty the canonical
     single-state machine with no finals is returned (alphabets kept).
     """
-    arcs = _arcs(fst)
-    reach = {fst.initial}
-    dq = deque([fst.initial])
-    while dq:
-        s = dq.popleft()
-        for (_, _, d) in arcs.get(s, []):
-            if d not in reach:
-                reach.add(d)
-                dq.append(d)
+    reach = set(_reachable(fst))
     back: dict[str, set[str]] = {}
     for (s, _, _, d) in fst.transitions:
         back.setdefault(d, set()).add(s)
@@ -210,21 +224,9 @@ def trim(fst: Fst) -> Fst:
 
 def _canonical(fst: Fst) -> Fst:
     """Rename states 0..n-1 in BFS discovery order for byte-stable output."""
-    arcs = _arcs(fst)
-    order = []
-    seen = {fst.initial}
-    dq = deque([fst.initial])
-    while dq:
-        s = dq.popleft()
-        order.append(s)
-        for (_, _, d) in arcs.get(s, []):
-            if d not in seen:
-                seen.add(d)
-                dq.append(d)
-    for s in fst.states:
-        if s not in seen:
-            order.append(s)
-            seen.add(s)
+    order = _reachable(fst)
+    seen = set(order)
+    order += [s for s in fst.states if s not in seen]
     name = {s: str(k) for k, s in enumerate(order)}
     return Fst(
         states=tuple(name[s] for s in order),
@@ -245,8 +247,6 @@ def compose(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
     a symbol that b deletes, the product step is silent (eps, eps); such
     steps are removed by closure so the result never stores them.
     """
-    arcs_a = _arcs(a)
-    arcs_b = _arcs(b)
     start = (a.initial, b.initial)
     index = {start: "0"}
     order = [start]
@@ -269,12 +269,12 @@ def compose(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
         p, q = node
         louds = loud.setdefault(node, [])
         sils = silent.setdefault(node, set())
-        for (i, m, p2) in arcs_a.get(p, []):
+        for (i, m, p2) in a.arcs[p]:
             if m == EPS:
                 # b consumes the empty message with its implicit stay
                 louds.append(((i, EPS), (p2, q)))
                 visit((p2, q))
-            for (m2, o, q2) in arcs_b.get(q, []):
+            for (m2, o, q2) in b.arcs[q]:
                 if m2 != m:
                     continue
                 tgt = (p2, q2)
@@ -283,7 +283,7 @@ def compose(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
                 else:
                     louds.append(((i, o), tgt))
                 visit(tgt)
-        for (m2, o, q2) in arcs_b.get(q, []):
+        for (m2, o, q2) in b.arcs[q]:
             if m2 == EPS:
                 # a emits the empty message with its implicit stay
                 louds.append(((EPS, o), (p, q2)))
@@ -325,8 +325,6 @@ def compose(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
 
 def intersect(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
     """Product acceptor over identical pair letters; L = L(a) and L(b)."""
-    arcs_a = _arcs(a)
-    arcs_b = _arcs(b)
     start = (a.initial, b.initial)
     index = {start: "0"}
     order = [start]
@@ -335,9 +333,9 @@ def intersect(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
     while dq:
         p, q = node = dq.popleft()
         moves_b: dict[Letter, list[str]] = {}
-        for (i, o, q2) in arcs_b.get(q, []):
+        for (i, o, q2) in b.arcs[q]:
             moves_b.setdefault((i, o), []).append(q2)
-        for (i, o, p2) in arcs_a.get(p, []):
+        for (i, o, p2) in a.arcs[p]:
             for q2 in moves_b.get((i, o), ()):
                 tgt = (p2, q2)
                 if tgt not in index:
@@ -370,7 +368,6 @@ def _determinize(fst: Fst, max_states: int = MAX_STATES):
     is the initial subset, finals is the set of accepting indices. The
     empty subset is never created (missing letters simply have no entry).
     """
-    arcs = _arcs(fst)
     start = frozenset([fst.initial])
     index = {start: 0}
     order = [start]
@@ -379,10 +376,7 @@ def _determinize(fst: Fst, max_states: int = MAX_STATES):
     while pos < len(order):
         sub = order[pos]
         pos += 1
-        moves: dict[Letter, set[str]] = {}
-        for s in sub:
-            for (i, o, d) in arcs.get(s, []):
-                moves.setdefault((i, o), set()).add(d)
+        moves = _successors(fst, sub)
         row: dict[Letter, int] = {}
         for letter in sorted(moves):
             tgt = frozenset(moves[letter])
@@ -474,7 +468,6 @@ def equivalent(a: Fst, b: Fst, max_states: int = MAX_STATES) -> bool:
 
 def language_upto(fst: Fst, n: int, max_words: int = MAX_WORDS) -> set[Word]:
     """Exactly the accepted words of length at most n (pair letters)."""
-    arcs = _arcs(fst)
     result: set[Word] = set()
     frontier: dict[Word, frozenset[str]] = {(): frozenset([fst.initial])}
     for length in range(n + 1):
@@ -487,11 +480,7 @@ def language_upto(fst: Fst, n: int, max_words: int = MAX_WORDS) -> set[Word]:
             break
         nxt: dict[Word, set[str]] = {}
         for w, cur in frontier.items():
-            moves: dict[Letter, set[str]] = {}
-            for s in cur:
-                for (i, o, d) in arcs.get(s, []):
-                    moves.setdefault((i, o), set()).add(d)
-            for letter, tgts in moves.items():
+            for letter, tgts in _successors(fst, cur).items():
                 nxt.setdefault(w + (letter,), set()).update(tgts)
         frontier = {w: frozenset(s) for w, s in nxt.items()}
         if len(frontier) > max_words:

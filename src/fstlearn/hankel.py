@@ -103,6 +103,12 @@ def numeric_rank(mat: np.ndarray, tol: float = TOL_RANK) -> int:
     return int(np.sum(sv > tol * max(sv[0], 1.0)))
 
 
+def default_mask_len(d: SampleSet) -> int:
+    """floor((L - 1) / 2) for the longest sampled word length L, so every
+    membership query psi chi gamma stays within the sampled horizon."""
+    return max(0, (max(len(w) for w in d.words) - 1) // 2)
+
+
 def find_basis(d: SampleSet, max_len: int) -> Mask:
     """Greedy rank-maximizing mask over prefixes/suffixes of D.
 

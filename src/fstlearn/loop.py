@@ -23,7 +23,8 @@ import random
 from dataclasses import dataclass
 
 from .formats import symbol_to_text
-from .fst import EPS, Fst, SampleSet, Word, _arcs, accepts, language_upto, trim
+from .errors import AnalysisError
+from .fst import EPS, Fst, SampleSet, Word, is_prefix_closed, language_upto, trim
 
 TERMINATED_MAX_STEPS = "max_steps"
 TERMINATED_ALARM = "alarm"
@@ -99,7 +100,7 @@ def _relay(machine: Fst, state: str, symbol: str, rng: random.Random) -> tuple[s
     plus the implicit stay when the symbol is the empty message. With no
     eligible move the machine stalls in place and emits nothing.
     """
-    options = [(o, dst) for (i, o, dst) in _arcs(machine).get(state, []) if i == symbol]
+    options = [(o, dst) for (i, o, dst) in machine.arcs[state] if i == symbol]
     if symbol == EPS:
         options.append((EPS, state))
     if not options:
@@ -110,10 +111,10 @@ def _relay(machine: Fst, state: str, symbol: str, rng: random.Random) -> tuple[s
 
 def step(cfg: LoopConfig, states: LoopState, rng: random.Random) -> tuple[str, StepRecord | None, LoopState]:
     """One tick; returns ("ok" | "alarm" | "deadlock", record, new states)."""
-    sup_arcs = _arcs(cfg.supervisor).get(states.supervisor, [])
-    if not sup_arcs:
+    sup_moves = cfg.supervisor.arcs[states.supervisor]
+    if not sup_moves:
         return TERMINATED_DEADLOCK, None, states
-    alpha = sup_arcs[rng.randrange(len(sup_arcs))][1]
+    alpha = sup_moves[rng.randrange(len(sup_moves))][1]
 
     act_state, alpha_c = _relay(cfg.actuator_attacker, states.actuator, alpha, rng)
     plant_state, sigma = _relay(cfg.plant, states.plant, alpha_c, rng)
@@ -122,7 +123,7 @@ def step(cfg: LoopConfig, states: LoopState, rng: random.Random) -> tuple[str, S
     # The supervisor committed alpha before seeing sigma_c; it now moves
     # by any transition matching the observed pair, not necessarily the
     # arc it drew alpha from.
-    matches = [dst for (i, o, dst) in sup_arcs if i == sigma_c and o == alpha]
+    matches = [dst for (i, o, dst) in sup_moves if i == sigma_c and o == alpha]
     if (sigma_c, alpha) == (EPS, EPS):
         matches.append(states.supervisor)
     alarmed = not matches
@@ -173,12 +174,15 @@ def sample_attacker(
 
     Walks stop with probability 0.25 at final states and always at
     max_len; only accepted words are kept, along with all their prefixes
-    (recorded behavior is prefix-closed).
+    (recorded behavior is prefix-closed, so the attacker must be too).
     """
+    if not is_prefix_closed(attacker):
+        raise AnalysisError(
+            "sample", "the attacker is not prefix-closed: it rejects a prefix of a word it accepts"
+        )
     if exhaustive:
         return SampleSet.from_words(language_upto(attacker, max_len))
     rng = random.Random(seed)
-    arcs = _arcs(attacker)
     words: set[Word] = set()
     if attacker.initial in attacker.finals:
         words.add(())
@@ -188,7 +192,7 @@ def sample_attacker(
         while len(walk) < max_len:
             if state in attacker.finals and rng.random() < 0.25:
                 break
-            outs = arcs.get(state, [])
+            outs = attacker.arcs[state]
             if not outs:
                 break
             i, o, dst = outs[rng.randrange(len(outs))]
@@ -197,6 +201,4 @@ def sample_attacker(
         if state in attacker.finals:
             for k in range(len(walk) + 1):
                 words.add(tuple(walk[:k]))
-    for w in words:
-        assert accepts(attacker, w), "sampled a word outside the attacker's language"
     return SampleSet.from_words(words)

@@ -28,6 +28,7 @@ from .hankel import (
     Mask,
     build_hankel_set,
     check_closed,
+    default_mask_len,
     find_basis,
     numeric_rank,
 )
@@ -228,15 +229,12 @@ def learn_pipeline(
 ) -> LearnResult:
     """find_basis -> Hankel set -> closedness gate -> SVD -> naturalize -> FST.
 
-    max_mask_len defaults to floor((L - 1) / 2) for the longest sampled
-    word length L, so every membership query psi chi gamma stays within
-    the sampled horizon.
+    max_mask_len defaults to hankel.default_mask_len(d).
     """
     if not d.words:
         raise ValueError("cannot learn from an empty sample set")
     if max_mask_len is None:
-        longest = max(len(w) for w in d.words)
-        max_mask_len = max(0, (longest - 1) // 2)
+        max_mask_len = default_mask_len(d)
     mask = find_basis(d, max_mask_len)
     hz = build_hankel_set(d, mask)
     if not check_closed(hz, tol_binary):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fstlearn
 from fstlearn import Fst, invert, load_fst, save_fst
 from fstlearn.cli import main
 
@@ -16,6 +20,8 @@ MK = str(DEMO / "mk.fst")
 SENSOR = str(DEMO / "sensor_identity.fst")
 ATTACKER_DATA = str(DEMO / "attacker_samples.txt")
 SENSOR_DATA = str(DEMO / "sensor_samples.txt")
+# The checkout's src/ directory, for the CLI run as a child process.
+SRC = str(Path(fstlearn.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -318,3 +324,61 @@ class TestDiagnostics:
 
     def test_no_subcommand_exits_two(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equiv", "--seed", "1", ATTACKER, ATTACKER],
+            ["verify", "--dump-intermediates", "dump", "--plant", PLANT, "--supervisor", ATTACKER,
+             "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER, "--mk", MK],
+            ["hankel", "--tol-binary", "1e-3", "--data", ATTACKER_DATA],
+            ["sample", "--tol-rank", "1e-3", "--attacker", ATTACKER, "--out", "x.txt"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_use_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sampling_a_non_prefix_closed_attacker_is_an_analysis_error(self, tmp_path):
+        # 0 -a:a-> 1 -b:b-> 2 with finals {0, 2} accepts a:a b:b but not a:a.
+        attacker = tmp_path / "gappy.fst"
+        attacker.write_text("fst v1\ninitial 0\nfinal 0 2\ntrans 0 a a 1\ntrans 1 b b 2\n")
+        out = tmp_path / "recorded.txt"
+        # -O strips asserts: the check must not be one.
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "fstlearn.cli", "sample", "--attacker", str(attacker),
+             "--n", "20", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "[sample]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+class TestHashSeedIndependence:
+    def test_demo_pipeline_and_simulate_are_byte_identical_across_hash_seeds(self, tmp_path):
+
+        def run_demo(hash_seed: str) -> tuple[str, str, bytes]:
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+            sup = tmp_path / f"supervisor_{hash_seed}.fst"
+
+            def cli(*argv: str) -> str:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "fstlearn.cli", *argv],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                assert proc.returncode == 0, proc.stderr
+                return proc.stdout
+
+            verdict = cli("pipeline", "--sensor-data", SENSOR_DATA, "--actuator-data", ATTACKER_DATA,
+                          "--plant", PLANT, "--mk", MK, "--out", str(sup))
+            trace = cli("simulate", "--plant", PLANT, "--supervisor", str(sup),
+                        "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER,
+                        "--steps", "6", "--seed", "1")
+            return verdict, trace, sup.read_bytes()
+
+        first = run_demo("0")
+        assert first[0] == "RESILIENT\n"
+        assert first[1].endswith("END max_steps\n")
+        assert run_demo("1") == first

@@ -3,6 +3,9 @@ intersection, trim, minimization, equivalence, bounded enumeration."""
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from fstlearn import (
     compose,
     counterexample,
     equivalent,
+    fst_to_text,
     identity_fst,
     intersect,
     invert,
@@ -106,6 +110,30 @@ class TestConstruction:
                 initial="0",
                 transitions=frozenset({("0", "a b", "u", "0")}),
                 finals=frozenset(),
+            )
+
+
+    def test_pickle_and_copy_keep_working_once_the_index_is_built(self):
+        m = Fst(
+            states=("0", "1"),
+            initial="0",
+            transitions=frozenset({("0", "x", "u", "1"), ("0", "y", EPS, "0")}),
+            finals=frozenset({"1"}),
+        )
+        assert m.arcs["0"] == (("x", "u", "1"), ("y", EPS, "0"))
+        for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert twin == m
+            assert twin.arcs == m.arcs
+
+    def test_first_bad_symbol_in_sorted_order_is_reported(self):
+        # Independent of set iteration order, hence of PYTHONHASHSEED.
+        with pytest.raises(FormatError, match="'a b'"):
+            Fst(
+                states=("0",),
+                initial="0",
+                transitions=frozenset({("0", "c d", "u", "0"), ("0", "x", "a b", "0")}),
+                finals=frozenset(),
+                inputs=frozenset({"e f"}),
             )
 
 
@@ -350,3 +378,58 @@ class TestPrefixClosed:
             finals=frozenset({"0"}),
         )
         assert not is_prefix_closed(m)
+
+
+def _machine(transitions, finals) -> Fst:
+    states = sorted({t[0] for t in transitions} | {t[3] for t in transitions} | {"0"})
+    return Fst(tuple(states), "0", frozenset(transitions), frozenset(finals))
+
+
+# Nondeterministic machines with eps on one side of some letters. Several
+# states have two arcs on the same letter, so the order in which arcs are
+# visited decides how the results' states are numbered.
+TIE_A = _machine(
+    {("0", "x", "m", "1"), ("0", "x", "m", "2"), ("0", "y", EPS, "2"), ("1", "y", "n", "3"),
+     ("2", "x", "n", "3"), ("2", "y", "m", "0"), ("3", "x", "m", "1")},
+    {"0", "3"},
+)
+TIE_B = _machine(
+    {("0", "m", "p", "1"), ("0", "m", "q", "0"), ("0", EPS, "r", "1"), ("1", "n", "p", "0"),
+     ("1", "m", "q", "1"), ("1", "n", "q", "2"), ("2", "m", "p", "0")},
+    {"0", "2"},
+)
+TIE_C = _machine(
+    {("0", "x", "m", "1"), ("0", "x", "m", "0"), ("0", "y", EPS, "1"), ("1", "y", "n", "0"),
+     ("1", "x", "n", "1"), ("1", "y", "m", "0")},
+    {"0", "1"},
+)
+
+
+class TestByteStableOutput:
+    """Exact text of constructed machines, so state numbering cannot drift."""
+
+    def test_compose(self):
+        assert fst_to_text(compose(TIE_A, TIE_B)) == (
+            "fst v1\ninitial 0\nfinal 0 6 7\n"
+            "trans 0 <eps> r 1\ntrans 0 x p 2\ntrans 0 x p 3\ntrans 0 x q 4\n"
+            "trans 0 x q 5\ntrans 0 y <eps> 5\ntrans 0 y r 3\ntrans 1 x q 2\n"
+            "trans 1 x q 3\ntrans 1 y <eps> 3\ntrans 2 y p 6\ntrans 2 y q 7\n"
+            "trans 3 x p 6\ntrans 3 x q 7\ntrans 3 y q 1\ntrans 4 <eps> r 2\n"
+            "trans 5 <eps> r 3\ntrans 5 y p 1\ntrans 5 y q 0\ntrans 6 <eps> r 8\n"
+            "trans 6 x p 2\ntrans 6 x q 4\ntrans 7 x p 4\ntrans 8 x q 2\n"
+        )
+
+    def test_intersect(self):
+        assert fst_to_text(intersect(TIE_A, TIE_C)) == (
+            "fst v1\ninitial 0\nfinal 0 3 4\n"
+            "trans 0 x m 1\ntrans 0 x m 2\ntrans 0 y <eps> 2\ntrans 1 y n 3\n"
+            "trans 2 x n 4\ntrans 2 y m 0\ntrans 3 x m 1\n"
+        )
+
+    def test_minimize(self):
+        assert fst_to_text(minimize(TIE_A)) == (
+            "fst v1\ninitial 0\nfinal 0 3\n"
+            "trans 0 x m 1\ntrans 0 y <eps> 2\ntrans 1 x n 3\ntrans 1 y m 0\n"
+            "trans 1 y n 3\ntrans 2 x n 3\ntrans 2 y m 0\ntrans 3 x m 4\n"
+            "trans 4 y n 3\n"
+        )

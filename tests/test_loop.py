@@ -6,6 +6,7 @@ import pytest
 
 from fstlearn import (
     EPS,
+    AnalysisError,
     Fst,
     LoopConfig,
     accepts,
@@ -234,6 +235,51 @@ class TestFormatTrace:
         )
 
 
+class TestSeededTrace:
+    def test_trace_with_several_arcs_to_draw_from_is_pinned(self, demo_plant, identity_sensor):
+        # Both the supervisor and the attacker offer two or more arcs at
+        # every state, so each tick draws from sorted arc lists.
+        supervisor = Fst(
+            states=("0", "1"),
+            initial="0",
+            transitions=frozenset(
+                {("0", "s2", "a3", "1"), ("0", "s2", "a1", "0"), ("0", "s2", "a2", "1"),
+                 ("1", "s2", "a1", "0"), ("1", "s2", "a3", "0"), ("1", "s2", "a1", "1")}
+            ),
+            finals=frozenset({"0", "1"}),
+        )
+        attacker = Fst(
+            states=("0", "1"),
+            initial="0",
+            transitions=frozenset(
+                {("0", "a3", "a1", "0"), ("0", "a3", "a2", "1"), ("0", "a1", "a2", "0"),
+                 ("0", "a1", "a1", "1"), ("0", "a2", "a1", "1"), ("1", "a3", "a2", "0"),
+                 ("1", "a1", "a1", "0"), ("1", "a2", "a2", "0"), ("1", "a2", "a1", "1"),
+                 ("1", "a3", "a1", "1")}
+            ),
+            finals=frozenset({"0", "1"}),
+        )
+        cfg = LoopConfig(
+            plant=demo_plant,
+            supervisor=supervisor,
+            sensor_attacker=identity_sensor,
+            actuator_attacker=attacker,
+            max_steps=8,
+            seed=3,
+        )
+        assert format_trace(run(cfg)) == (
+            "step 1: alpha=a1 alpha_c=a1 sigma=s2 sigma_c=s2\n"
+            "step 2: alpha=a3 alpha_c=a1 sigma=s2 sigma_c=s2\n"
+            "step 3: alpha=a1 alpha_c=a1 sigma=s2 sigma_c=s2\n"
+            "step 4: alpha=a1 alpha_c=a1 sigma=s2 sigma_c=s2\n"
+            "step 5: alpha=a1 alpha_c=a1 sigma=s2 sigma_c=s2\n"
+            "step 6: alpha=a2 alpha_c=a1 sigma=s2 sigma_c=s2\n"
+            "step 7: alpha=a1 alpha_c=a1 sigma=s2 sigma_c=s2\n"
+            "step 8: alpha=a2 alpha_c=a1 sigma=s2 sigma_c=s2\n"
+            "END max_steps\n"
+        )
+
+
 class TestSampleAttacker:
     def test_exhaustive_equals_the_bounded_language(self, demo_attacker):
         got = sample_attacker(demo_attacker, 0, 3, exhaustive=True)
@@ -261,3 +307,15 @@ class TestSampleAttacker:
         a = sample_attacker(demo_attacker, 25, 4, seed=7)
         b = sample_attacker(demo_attacker, 25, 4, seed=7)
         assert a.words == b.words
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_non_prefix_closed_attacker_is_rejected(self, exhaustive):
+        gappy = Fst(
+            states=("0", "1", "2"),
+            initial="0",
+            transitions=frozenset({("0", "a", "a", "1"), ("1", "b", "b", "2")}),
+            finals=frozenset({"0", "2"}),
+        )
+        with pytest.raises(AnalysisError) as err:
+            sample_attacker(gappy, 20, 4, seed=0, exhaustive=exhaustive)
+        assert err.value.stage == "sample"
