@@ -4,7 +4,8 @@ Subcommands: learn, synth, verify, simulate, sample, hankel, equiv, and
 pipeline (dataset-to-verdict in one call). Results go to stdout, all
 diagnostics to stderr. Exit codes: 0 success or positive verdict, 1
 negative analysis verdict (NOT_RESILIENT, non-learnable data), 2 usage
-or I/O errors, 3 resource-guard aborts.
+or I/O errors (including negative counts and non-trim simulate machines),
+3 resource-guard aborts, 4 internal errors (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import argparse
 import os
 import re
 import sys
+import traceback
 
 import numpy as np
 
-from .errors import AnalysisError, FstlearnError
+from .errors import AnalysisError, FormatError, FstlearnError
 from .formats import (
     grid,
     letter_to_text,
@@ -139,14 +141,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = LoopConfig(
+    machines = dict(
         plant=load_fst(args.plant),
         supervisor=load_fst(args.supervisor),
         sensor_attacker=load_fst(args.sensor_attacker),
         actuator_attacker=load_fst(args.actuator_attacker),
-        max_steps=args.steps,
-        seed=args.seed,
     )
+    try:
+        cfg = LoopConfig(**machines, max_steps=args.steps, seed=args.seed)
+    except ValueError as exc:  # a machine that is not trim
+        raise FormatError(str(exc)) from exc
     text = format_trace(run(cfg))
     if args.trace_out is not None:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
@@ -213,6 +217,17 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return 1
 
 
+def _count(text: str) -> int:
+    """argparse type of every count and length bound: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # Flag groups, each attached only to the subcommands that use it.
     rank = argparse.ArgumentParser(add_help=False)
@@ -231,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", parents=[learning], help="learn an FST from a sample dataset")
     p.add_argument("--data", required=True, help="dataset file")
     p.add_argument("--out", required=True, help="output FST file")
-    p.add_argument("--max-mask-len", type=int, default=None, help="mask word length bound")
+    p.add_argument("--max-mask-len", type=_count, default=None, help="mask word length bound")
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("synth", help="synthesize a candidate supervisor")
@@ -254,21 +269,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--supervisor", required=True)
     p.add_argument("--sensor-attacker", required=True)
     p.add_argument("--actuator-attacker", required=True)
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_count, default=20)
     p.add_argument("--trace-out", default=None, help="trace file (default stdout)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sample", parents=[seeded], help="record attack words from an attacker FST")
     p.add_argument("--attacker", required=True)
     p.add_argument("--mode", choices=("random", "exhaustive"), default="random")
-    p.add_argument("--n", type=int, default=50, help="number of random walks")
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--n", type=_count, default=50, help="number of random walks")
+    p.add_argument("--max-len", type=_count, default=8)
     p.add_argument("--out", required=True, help="output dataset file")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("hankel", parents=[rank], help="print the Hankel matrices of a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--max-mask-len", type=int, default=None)
+    p.add_argument("--max-mask-len", type=_count, default=None)
     p.set_defaults(func=_cmd_hankel)
 
     p = sub.add_parser("equiv", help="compare the languages of two FSTs")
@@ -282,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plant", required=True)
     p.add_argument("--mk", required=True, help="desired-language FST file or pattern")
     p.add_argument("--out", default=None, help="also write the supervisor FST here")
-    p.add_argument("--max-mask-len", type=int, default=None)
+    p.add_argument("--max-mask-len", type=_count, default=None)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser
@@ -302,6 +317,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # A bug, not a verdict: never let it read as exit 1.
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success / positive verdict, 1 negative analysis verdict
 (not resilient, non-natural data, closedness failure), 2 usage or I/O
-error, 3 resource-guard abort.
+error (including negative counts and non-trim simulate machines), 3
+resource-guard abort, 4 internal error (any other exception; the CLI
+prints its traceback).
 """
 
 from __future__ import annotations

@@ -20,10 +20,7 @@ whitespace line denotes the empty word; comment-only lines are skipped.
 from __future__ import annotations
 
 from .errors import FormatError
-from .fst import EPS, Fst, Letter, SampleSet, Word
-
-EPS_TOKEN = "<eps>"
-EMPTY_TOKEN = "<empty>"
+from .fst import EMPTY_TOKEN, EPS, EPS_TOKEN, Fst, Letter, SampleSet, Word
 
 
 def symbol_to_text(sym: str) -> str:
@@ -136,18 +133,13 @@ def sampleset_to_text(d: SampleSet) -> str:
 
 
 def sampleset_from_text(text: str) -> SampleSet:
-    words = set()
+    words = []
     for raw in text.splitlines():
-        if "#" in raw:
-            content = raw.split("#", 1)[0].strip()
-            if not content:
-                continue  # comment-only line, not an empty word
-            words.add(word_from_text(content))
-        elif not raw.strip():
-            words.add(())  # a blank line denotes the empty word
-        else:
-            words.add(word_from_text(raw))
-    return SampleSet.from_words(words)
+        content, comment, _ = raw.partition("#")
+        if comment and not content.strip():
+            continue  # comment-only line, not an empty word
+        words.append(word_from_text(content))  # a blank line is the empty word
+    return SampleSet(words, ())
 
 
 def load_dataset(path) -> SampleSet:

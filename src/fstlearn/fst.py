@@ -13,6 +13,7 @@ letter recording an empty message on one channel.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,20 +30,26 @@ Word = tuple[Letter, ...]
 MAX_STATES = 10_000
 MAX_WORDS = 1_000_000
 
-_RESERVED = ("<eps>", "<empty>")
+# Text-format tokens for the empty symbol and the empty word; never names.
+EPS_TOKEN = "<eps>"
+EMPTY_TOKEN = "<empty>"
+_RESERVED = (EPS_TOKEN, EMPTY_TOKEN)
+# In a str pattern, \s matches exactly the characters str.isspace() accepts.
+_SYMBOL = re.compile(r"[^\s#:]+")
+_STATE = re.compile(r"[^\s#]+")
 
 
 def _check_symbol(sym: str) -> None:
     if sym == EPS:
         return
-    if any(c.isspace() for c in sym) or "#" in sym or ":" in sym or sym in _RESERVED:
+    if not _SYMBOL.fullmatch(sym) or sym in _RESERVED:
         raise FormatError(
             f"bad symbol {sym!r}: no whitespace, ':' or '#', and reserved tokens are not symbols"
         )
 
 
 def _check_state(name: str) -> None:
-    if not name or any(c.isspace() for c in name) or "#" in name or name in _RESERVED:
+    if not _STATE.fullmatch(name) or name in _RESERVED:
         raise FormatError(f"bad state name {name!r}")
 
 
@@ -113,29 +120,27 @@ class SampleSet:
     """Deduplicated positive sample words plus their observed letter alphabet.
 
     Every word is assumed to be a true member of the target language; the
-    toolkit validates shape only, never veracity.
+    toolkit validates shape only, never veracity. `words` may be any iterable
+    of letter sequences; each distinct letter is checked once, in sorted order.
     """
 
     words: frozenset[Word]
     alphabet: tuple[Letter, ...]
 
     def __post_init__(self):
-        words = frozenset(tuple(tuple(l) for l in w) for w in self.words)
-        seen = set()
-        for w in words:
-            for (i, o) in w:
-                if i == EPS and o == EPS:
-                    raise FormatError("stored words must not contain the (eps,eps) letter")
-                _check_symbol(i)
-                _check_symbol(o)
-                seen.add((i, o))
+        words = frozenset(tuple(map(tuple, w)) for w in self.words)
+        alphabet = tuple(sorted({l for w in words for l in w}))
+        for (i, o) in alphabet:
+            if i == EPS and o == EPS:
+                raise FormatError("stored words must not contain the (eps,eps) letter")
+            _check_symbol(i)
+            _check_symbol(o)
         object.__setattr__(self, "words", words)
-        object.__setattr__(self, "alphabet", tuple(sorted(seen)))
+        object.__setattr__(self, "alphabet", alphabet)
 
     @classmethod
     def from_words(cls, words) -> "SampleSet":
-        ws = frozenset(tuple(tuple(l) for l in w) for w in words)
-        return cls(ws, ())
+        return cls(words, ())
 
     def __len__(self) -> int:
         return len(self.words)

@@ -69,22 +69,23 @@ class HankelSet:
                 raise ValueError("Hankel entries must be 0 or 1")
 
 
-def build_h_theta(d: SampleSet, m: Mask) -> np.ndarray:
+def _block(d: SampleSet, m: Mask, middle: Word) -> np.ndarray:
+    """Entry (psi, gamma) is 1 iff psi middle gamma is in D."""
     h = np.zeros((len(m.prefixes), len(m.suffixes)))
     for r, psi in enumerate(m.prefixes):
+        head = psi + middle
         for c, gamma in enumerate(m.suffixes):
-            if psi + gamma in d.words:
+            if head + gamma in d.words:
                 h[r, c] = 1.0
     return h
+
+
+def build_h_theta(d: SampleSet, m: Mask) -> np.ndarray:
+    return _block(d, m, ())
 
 
 def build_h_chi(d: SampleSet, m: Mask, chi: Letter) -> np.ndarray:
-    h = np.zeros((len(m.prefixes), len(m.suffixes)))
-    for r, psi in enumerate(m.prefixes):
-        for c, gamma in enumerate(m.suffixes):
-            if psi + (chi,) + gamma in d.words:
-                h[r, c] = 1.0
-    return h
+    return _block(d, m, (chi,))
 
 
 def build_hankel_set(d: SampleSet, m: Mask) -> HankelSet:

@@ -339,6 +339,40 @@ class TestDiagnostics:
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--plant", PLANT, "--supervisor", ATTACKER, "--sensor-attacker", SENSOR,
+             "--actuator-attacker", ATTACKER, "--steps", "-1"],
+            ["simulate", "--plant", "TMP/non_trim.fst", "--supervisor", ATTACKER,
+             "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER],
+            ["learn", "--data", ATTACKER_DATA, "--out", "TMP/x.fst", "--max-mask-len", "-1"],
+            ["hankel", "--data", ATTACKER_DATA, "--max-mask-len", "-1"],
+            ["pipeline", "--sensor-data", SENSOR_DATA, "--actuator-data", ATTACKER_DATA,
+             "--plant", PLANT, "--mk", MK, "--max-mask-len", "-1"],
+            ["sample", "--attacker", ATTACKER, "--max-len", "-2", "--out", "TMP/x.txt"],
+            ["sample", "--attacker", ATTACKER, "--n", "-1", "--out", "TMP/x.txt"],
+        ],
+    )
+    def test_negative_count_or_non_trim_simulate_machine_exits_two(self, argv, tmp_path, capsys):
+        # State 1 can reach no final state.
+        (tmp_path / "non_trim.fst").write_text("fst v1\ninitial 0\nfinal 0\ntrans 0 a1 a2 1\n")
+        assert main([a.replace("TMP", str(tmp_path)) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.fst").exists() and not (tmp_path / "x.txt").exists()
+
+    def test_unexpected_exception_exits_four_with_its_traceback(self, monkeypatch, capsys):
+        def broken(left, right):
+            raise RuntimeError("simulated bug")
+
+        monkeypatch.setattr(fstlearn.cli, "counterexample", broken)
+        assert main(["equiv", ATTACKER, ATTACKER]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "RuntimeError: simulated bug" in err
+
     def test_sampling_a_non_prefix_closed_attacker_is_an_analysis_error(self, tmp_path):
         # 0 -a:a-> 1 -b:b-> 2 with finals {0, 2} accepts a:a b:b but not a:a.
         attacker = tmp_path / "gappy.fst"

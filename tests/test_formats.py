@@ -108,12 +108,14 @@ class TestDatasetFormat:
         assert sampleset_from_text(sampleset_to_text(d)).words == d.words
 
     def test_blank_line_is_the_empty_word(self):
-        d = sampleset_from_text("x:u\n\n")
-        assert d.words == frozenset({(("x", "u"),), ()})
+        for text in ("x:u\n\n", "x:u\n \t \n"):
+            d = sampleset_from_text(text)
+            assert d.words == frozenset({(("x", "u"),), ()})
 
     def test_comment_only_line_is_skipped(self):
-        d = sampleset_from_text("x:u\n# note\n")
-        assert d.words == frozenset({(("x", "u"),)})
+        for text in ("x:u\n# note\n", "x:u\n   # indented note\n"):
+            d = sampleset_from_text(text)
+            assert d.words == frozenset({(("x", "u"),)})
 
     def test_inline_comment_stripped(self):
         d = sampleset_from_text("x:u y:v # observed twice\n")

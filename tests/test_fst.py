@@ -15,6 +15,7 @@ from fstlearn import (
     FormatError,
     Fst,
     ResourceLimitError,
+    SampleSet,
     accepts,
     compose,
     counterexample,
@@ -28,6 +29,7 @@ from fstlearn import (
     minimize,
     trim,
 )
+from fstlearn import fst as fst_module
 from oracles import PAIR_LETTERS, ref_accepts, ref_compose_language, ref_language_upto
 
 EPS_LETTERS = (("x", EPS), (EPS, "u"))
@@ -104,13 +106,24 @@ class TestConstruction:
             )
 
     def test_whitespace_symbol_rejected(self):
-        with pytest.raises(FormatError):
-            Fst(
-                states=("0",),
-                initial="0",
-                transitions=frozenset({("0", "a b", "u", "0")}),
-                finals=frozenset(),
-            )
+        # Every character str.isspace() accepts, not only ASCII blanks.
+        for bad in ("a b", "a\xa0b", "a\u2003b", "a\x1cb"):
+            with pytest.raises(FormatError):
+                Fst(
+                    states=("0",),
+                    initial="0",
+                    transitions=frozenset({("0", bad, "u", "0")}),
+                    finals=frozenset(),
+                )
+            with pytest.raises(FormatError, match="bad state name"):
+                Fst(states=("0", bad), initial="0", transitions=frozenset(), finals=frozenset())
+
+    def test_state_names_follow_the_symbol_rules_but_may_hold_a_colon(self):
+        for bad in ("", "a#b", "<empty>"):
+            with pytest.raises(FormatError, match="bad state name"):
+                Fst(states=("0", bad), initial="0", transitions=frozenset(), finals=frozenset())
+        m = Fst(states=("q:1",), initial="q:1", transitions=frozenset(), finals=frozenset())
+        assert m.states == ("q:1",)
 
 
     def test_pickle_and_copy_keep_working_once_the_index_is_built(self):
@@ -135,6 +148,40 @@ class TestConstruction:
                 finals=frozenset(),
                 inputs=frozenset({"e f"}),
             )
+
+
+class TestSampleSet:
+    def test_stay_letter_rejected(self):
+        with pytest.raises(FormatError, match="eps,eps"):
+            SampleSet.from_words([(("x", "u"), (EPS, EPS))])
+
+    def test_first_bad_symbol_in_sorted_order_is_reported(self):
+        # Independent of set iteration order, hence of PYTHONHASHSEED.
+        words = [(("x", "u"), ("x", "<eps>")), (("b c", "u"),), (("a", "<empty>"), ("y", "d#e"))]
+        with pytest.raises(FormatError, match="'<empty>'"):
+            SampleSet.from_words(words)
+        with pytest.raises(FormatError, match="'b c'"):
+            SampleSet.from_words(words[:2])
+
+    def test_each_distinct_letter_is_checked_once(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(fst_module, "_check_symbol", checked.append)
+        d = SampleSet.from_words([(("x", "u"), ("x", "u")), (("x", "u"), ("y", EPS)), (("y", EPS),)])
+        assert checked == ["x", "u", "y", EPS]
+        assert d.alphabet == (("x", "u"), ("y", EPS))
+
+    def test_from_words_accepts_any_iterable_of_letter_sequences(self):
+        words = [(("x", "u"), ("y", EPS)), (), (("x", "u"),)]
+        expected = SampleSet.from_words(words)
+        assert expected.words == frozenset(words)
+        assert SampleSet.from_words([[list(l) for l in w] for w in words]) == expected
+        assert SampleSet.from_words(w for w in words) == expected
+        assert SampleSet.from_words(tuple(words)) == expected
+        assert SampleSet(words, ()) == expected
+
+    def test_alphabet_is_sorted_and_distinct(self):
+        d = SampleSet.from_words([(("y", "v"), ("x", "u")), (("x", "u"), (EPS, "u")), (("y", EPS),)])
+        assert d.alphabet == ((EPS, "u"), ("x", "u"), ("y", EPS), ("y", "v"))
 
 
 class TestAccepts:
