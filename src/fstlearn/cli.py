@@ -29,7 +29,7 @@ from .formats import (
     word_to_text,
 )
 from .fst import EPS, Fst, counterexample
-from .hankel import TOL_BINARY, TOL_RANK, build_hankel_set, default_mask_len, find_basis, numeric_rank
+from .hankel import build_hankel_set, default_mask_len, find_basis, numeric_rank
 from .loop import LoopConfig, format_trace, run, sample_attacker
 from .spectral import LearnResult, learn_pipeline
 from .supervisor import SynthesisResult, pattern_to_fst, synthesize, verify_resilient
@@ -78,8 +78,6 @@ def pipeline(
     plant: Fst,
     m_k: Fst,
     max_mask_len: int | None = None,
-    tol_rank: float = TOL_RANK,
-    tol_binary: float = TOL_BINARY,
     dump_dir: str | None = None,
 ) -> SynthesisResult:
     """Learn both channel attackers, synthesize, and verify."""
@@ -89,9 +87,7 @@ def pipeline(
         if not d.words:
             raise AnalysisError("learn", f"{channel} dataset is empty")
         try:
-            results[channel] = learn_pipeline(
-                d, max_mask_len, tol_rank=tol_rank, tol_binary=tol_binary
-            )
+            results[channel] = learn_pipeline(d, max_mask_len)
         except AnalysisError as exc:
             raise type(exc)(
                 exc.stage, f"learning the {channel} attacker model failed: {exc.message}"
@@ -110,9 +106,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     d = load_dataset(args.data)
     if not d.words:
         raise AnalysisError("learn", "dataset is empty")
-    res = learn_pipeline(
-        d, args.max_mask_len, tol_rank=args.tol_rank, tol_binary=args.tol_binary
-    )
+    res = learn_pipeline(d, args.max_mask_len)
     if args.dump_intermediates is not None:
         _dump_learn(res, args.dump_intermediates)
     save_fst(res.fst, args.out)
@@ -182,7 +176,7 @@ def _cmd_hankel(args: argparse.Namespace) -> int:
     sys.stdout.write(grid(hz.h_theta, psi, gamma, "H_theta"))
     for chi in hz.alphabet:
         sys.stdout.write("\n" + grid(hz.h_chi[chi], psi, gamma, f"H_chi {letter_to_text(chi)}"))
-    print(f"\nrank(H_theta) = {numeric_rank(hz.h_theta, args.tol_rank)}")
+    print(f"\nrank(H_theta) = {numeric_rank(hz.h_theta)}")
     return 0
 
 
@@ -202,8 +196,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         load_fst(args.plant),
         _load_mk(args.mk),
         max_mask_len=args.max_mask_len,
-        tol_rank=args.tol_rank,
-        tol_binary=args.tol_binary,
         dump_dir=args.dump_intermediates,
     )
     if result.resilient:
@@ -230,10 +222,7 @@ def _count(text: str) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     # Flag groups, each attached only to the subcommands that use it.
-    rank = argparse.ArgumentParser(add_help=False)
-    rank.add_argument("--tol-rank", type=float, default=TOL_RANK, help="relative rank cutoff")
-    learning = argparse.ArgumentParser(add_help=False, parents=[rank])
-    learning.add_argument("--tol-binary", type=float, default=TOL_BINARY, help="binarization tolerance")
+    learning = argparse.ArgumentParser(add_help=False)
     learning.add_argument(
         "--dump-intermediates", metavar="DIR", default=None, help="write intermediate matrices here"
     )
@@ -281,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset file")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("hankel", parents=[rank], help="print the Hankel matrices of a dataset")
+    p = sub.add_parser("hankel", help="print the Hankel matrices of a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--max-mask-len", type=_count, default=None)
     p.set_defaults(func=_cmd_hankel)

@@ -117,9 +117,18 @@ def fst_from_text(text: str) -> Fst:
     )
 
 
+def _read_text(path) -> str:
+    """A file's text; bytes that are not UTF-8 are a FormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from exc
+
+
 def load_fst(path) -> Fst:
-    with open(path, encoding="utf-8") as fh:
-        return fst_from_text(fh.read())
+    return fst_from_text(_read_text(path))
 
 
 def save_fst(f: Fst, path) -> None:
@@ -143,8 +152,7 @@ def sampleset_from_text(text: str) -> SampleSet:
 
 
 def load_dataset(path) -> SampleSet:
-    with open(path, encoding="utf-8") as fh:
-        return sampleset_from_text(fh.read())
+    return sampleset_from_text(_read_text(path))
 
 
 def save_dataset(d: SampleSet, path) -> None:

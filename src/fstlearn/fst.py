@@ -243,6 +243,61 @@ def _canonical(fst: Fst) -> Fst:
     )
 
 
+def _explore(start, moves, max_states: int, what: str):
+    """Breadth-first walk from start, numbering nodes in discovery order.
+
+    moves(node) yields (label, target node) pairs. Returns (order, edges):
+    order[k] is node k and edges[k] lists its (label, target number)
+    pairs in the order moves gave them. A walk that would number more
+    than max_states nodes raises ResourceLimitError naming `what`.
+    """
+    index = {start: 0}
+    order = [start]
+    edges = []
+    for node in order:
+        out = []
+        for label, tgt in moves(node):
+            k = index.get(tgt)
+            if k is None:
+                if len(order) >= max_states:
+                    raise ResourceLimitError(f"{what} exceeded the {max_states}-state bound")
+                k = index[tgt] = len(order)
+                order.append(tgt)
+            out.append((label, k))
+        edges.append(out)
+    return order, edges
+
+
+def remove_silent(edges, finals, inputs=frozenset(), outputs=frozenset()) -> Fst:
+    """The trimmed, canonically named machine of a numbered graph.
+
+    Node 0 is initial; edges[k] lists node k's (label, target) pairs,
+    where a label is a pair letter or None for a silent step. Node k
+    takes the letter edges of every node silently reachable from it and
+    is final when any of those nodes is in finals.
+    """
+    names = [str(k) for k in range(len(edges))]
+    transitions = set()
+    final = set()
+    for k, out in enumerate(edges):
+        members = [k]
+        if any(label is None for label, _ in out):
+            seen = {k}
+            for m in members:
+                for label, t in edges[m]:
+                    if label is None and t not in seen:
+                        seen.add(t)
+                        members.append(t)
+        for m in members:
+            if m in finals:
+                final.add(names[k])
+            for label, t in edges[m]:
+                if label is not None:
+                    transitions.add((names[k], label[0], label[1], names[t]))
+    raw = Fst(tuple(names), "0", frozenset(transitions), frozenset(final), inputs, outputs)
+    return _canonical(trim(raw))
+
+
 def compose(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
     """Pipeline composition: a's output feeds b's input.
 
@@ -252,118 +307,41 @@ def compose(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
     a symbol that b deletes, the product step is silent (eps, eps); such
     steps are removed by closure so the result never stores them.
     """
-    start = (a.initial, b.initial)
-    index = {start: "0"}
-    order = [start]
-    dq = deque([start])
-    loud: dict[tuple[str, str], list[tuple[Letter, tuple[str, str]]]] = {}
-    silent: dict[tuple[str, str], set[tuple[str, str]]] = {}
 
-    def visit(node):
-        if node not in index:
-            if len(index) >= max_states:
-                raise ResourceLimitError(
-                    f"composition exceeded the {max_states}-state bound"
-                )
-            index[node] = str(len(index))
-            order.append(node)
-            dq.append(node)
-
-    while dq:
-        node = dq.popleft()
+    def moves(node):
         p, q = node
-        louds = loud.setdefault(node, [])
-        sils = silent.setdefault(node, set())
         for (i, m, p2) in a.arcs[p]:
             if m == EPS:
                 # b consumes the empty message with its implicit stay
-                louds.append(((i, EPS), (p2, q)))
-                visit((p2, q))
+                yield (i, EPS), (p2, q)
             for (m2, o, q2) in b.arcs[q]:
-                if m2 != m:
-                    continue
-                tgt = (p2, q2)
-                if i == EPS and o == EPS:
-                    sils.add(tgt)
-                else:
-                    louds.append(((i, o), tgt))
-                visit(tgt)
+                if m2 == m:
+                    yield (None if i == EPS and o == EPS else (i, o)), (p2, q2)
         for (m2, o, q2) in b.arcs[q]:
             if m2 == EPS:
                 # a emits the empty message with its implicit stay
-                louds.append(((EPS, o), (p, q2)))
-                visit((p, q2))
+                yield (EPS, o), (p, q2)
 
-    def closure(node):
-        out = {node}
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            for t in silent.get(n, ()):
-                if t not in out:
-                    out.add(t)
-                    stack.append(t)
-        return out
-
-    closures = {node: closure(node) for node in order}
-    finals_raw = {
-        node for node in order if node[0] in a.finals and node[1] in b.finals
-    }
-    transitions = set()
-    finals = set()
-    for node in order:
-        if closures[node] & finals_raw:
-            finals.add(index[node])
-        for member in closures[node]:
-            for (letter, tgt) in loud.get(member, ()):
-                transitions.add((index[node], letter[0], letter[1], index[tgt]))
-    raw = Fst(
-        states=tuple(index[n] for n in order),
-        initial="0",
-        transitions=frozenset(transitions),
-        finals=frozenset(finals),
-        inputs=a.inputs,
-        outputs=b.outputs,
-    )
-    return _canonical(trim(raw))
+    order, edges = _explore((a.initial, b.initial), moves, max_states, "composition")
+    finals = {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals}
+    return remove_silent(edges, finals, a.inputs, b.outputs)
 
 
 def intersect(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
     """Product acceptor over identical pair letters; L = L(a) and L(b)."""
-    start = (a.initial, b.initial)
-    index = {start: "0"}
-    order = [start]
-    dq = deque([start])
-    transitions = set()
-    while dq:
-        p, q = node = dq.popleft()
+
+    def moves(node):
+        p, q = node
         moves_b: dict[Letter, list[str]] = {}
         for (i, o, q2) in b.arcs[q]:
             moves_b.setdefault((i, o), []).append(q2)
         for (i, o, p2) in a.arcs[p]:
             for q2 in moves_b.get((i, o), ()):
-                tgt = (p2, q2)
-                if tgt not in index:
-                    if len(index) >= max_states:
-                        raise ResourceLimitError(
-                            f"intersection exceeded the {max_states}-state bound"
-                        )
-                    index[tgt] = str(len(index))
-                    order.append(tgt)
-                    dq.append(tgt)
-                transitions.add((index[node], i, o, index[tgt]))
-    finals = frozenset(
-        index[n] for n in order if n[0] in a.finals and n[1] in b.finals
-    )
-    raw = Fst(
-        states=tuple(index[n] for n in order),
-        initial="0",
-        transitions=frozenset(transitions),
-        finals=finals,
-        inputs=a.inputs | b.inputs,
-        outputs=a.outputs | b.outputs,
-    )
-    return _canonical(trim(raw))
+                yield (i, o), (p2, q2)
+
+    order, edges = _explore((a.initial, b.initial), moves, max_states, "intersection")
+    finals = {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals}
+    return remove_silent(edges, finals, a.inputs | b.inputs, a.outputs | b.outputs)
 
 
 def _determinize(fst: Fst, max_states: int = MAX_STATES):
@@ -373,29 +351,14 @@ def _determinize(fst: Fst, max_states: int = MAX_STATES):
     is the initial subset, finals is the set of accepting indices. The
     empty subset is never created (missing letters simply have no entry).
     """
-    start = frozenset([fst.initial])
-    index = {start: 0}
-    order = [start]
-    dtrans: list[dict[Letter, int]] = []
-    pos = 0
-    while pos < len(order):
-        sub = order[pos]
-        pos += 1
-        moves = _successors(fst, sub)
-        row: dict[Letter, int] = {}
-        for letter in sorted(moves):
-            tgt = frozenset(moves[letter])
-            if tgt not in index:
-                if len(index) >= max_states:
-                    raise ResourceLimitError(
-                        f"determinization exceeded the {max_states}-state bound"
-                    )
-                index[tgt] = len(order)
-                order.append(tgt)
-            row[letter] = index[tgt]
-        dtrans.append(row)
+
+    def moves(sub):
+        succ = _successors(fst, sub)
+        return [(letter, frozenset(succ[letter])) for letter in sorted(succ)]
+
+    order, edges = _explore(frozenset([fst.initial]), moves, max_states, "determinization")
     finals = {k for k, sub in enumerate(order) if sub & fst.finals}
-    return dtrans, finals
+    return [dict(out) for out in edges], finals
 
 
 def minimize(fst: Fst, max_states: int = MAX_STATES) -> Fst:
@@ -438,32 +401,36 @@ def counterexample(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Word | None:
     """Shortest word accepted by exactly one of the two machines, or None.
 
     BFS over the product of the two determinized partial acceptors, with
-    an implicit rejecting sink (None) on missing letters.
+    an implicit rejecting sink (None) on missing letters. The witness
+    follows the edge that first reached each node on its way.
     """
     da, fa = _determinize(trim(a), max_states)
     db, fb = _determinize(trim(b), max_states)
     letters = sorted(
         {l for row in da for l in row} | {l for row in db for l in row}
     )
-    start = (0, 0)
-    seen = {start}
-    dq: deque[tuple[tuple[int | None, int | None], Word]] = deque([(start, ())])
-    while dq:
-        (sa, sb), w = dq.popleft()
-        acc_a = sa is not None and sa in fa
-        acc_b = sb is not None and sb in fb
-        if acc_a != acc_b:
-            return w
+
+    def moves(node):
+        sa, sb = node
         for letter in letters:
             ta = da[sa].get(letter) if sa is not None else None
             tb = db[sb].get(letter) if sb is not None else None
-            if ta is None and tb is None:
-                continue
-            node = (ta, tb)
-            if node not in seen:
-                seen.add(node)
-                dq.append((node, w + (letter,)))
-    return None
+            if ta is not None or tb is not None:
+                yield letter, (ta, tb)
+
+    order, edges = _explore((0, 0), moves, max_states, "equivalence check")
+    k = next((k for k, (sa, sb) in enumerate(order) if (sa in fa) != (sb in fb)), None)
+    if k is None:
+        return None
+    first: dict[int, tuple[int, Letter]] = {}
+    for src, out in enumerate(edges):
+        for letter, t in out:
+            first.setdefault(t, (src, letter))
+    w = []
+    while k:
+        k, letter = first[k]
+        w.append(letter)
+    return tuple(reversed(w))
 
 
 def equivalent(a: Fst, b: Fst, max_states: int = MAX_STATES) -> bool:

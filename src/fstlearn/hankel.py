@@ -97,11 +97,11 @@ def build_hankel_set(d: SampleSet, m: Mask) -> HankelSet:
     )
 
 
-def numeric_rank(mat: np.ndarray, tol: float = TOL_RANK) -> int:
+def numeric_rank(mat: np.ndarray) -> int:
     if mat.size == 0:
         return 0
     sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > tol * max(sv[0], 1.0)))
+    return int(np.sum(sv > TOL_RANK * max(sv[0], 1.0)))
 
 
 def default_mask_len(d: SampleSet) -> int:
@@ -182,11 +182,11 @@ def find_basis(d: SampleSet, max_len: int) -> Mask:
     )
 
 
-def check_closed(hz: HankelSet, tol: float = TOL_BINARY) -> bool:
+def check_closed(hz: HankelSet) -> bool:
     """True iff every H_chi row lies in the row space of H_Theta."""
     ht = hz.h_theta
     row_proj = np.linalg.pinv(ht) @ ht
     for hc in hz.h_chi.values():
-        if np.max(np.abs(hc - hc @ row_proj), initial=0.0) > tol:
+        if np.max(np.abs(hc - hc @ row_proj), initial=0.0) > TOL_BINARY:
             return False
     return True

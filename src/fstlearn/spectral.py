@@ -34,9 +34,11 @@ from .hankel import (
 )
 
 
-def _snap_binary(arr: np.ndarray, tol: float) -> np.ndarray | None:
-    """Round entries to {0,1} when all are within tol, else None."""
-    out = np.where(np.abs(arr) <= tol, 0.0, np.where(np.abs(arr - 1.0) <= tol, 1.0, np.nan))
+def _snap_binary(arr: np.ndarray) -> np.ndarray | None:
+    """Round entries to {0,1} when all are within TOL_BINARY, else None."""
+    out = np.where(
+        np.abs(arr) <= TOL_BINARY, 0.0, np.where(np.abs(arr - 1.0) <= TOL_BINARY, 1.0, np.nan)
+    )
     if np.isnan(out).any():
         return None
     return out
@@ -110,11 +112,11 @@ class LearnResult:
     fst: Fst
 
 
-def full_rank_decompose(h_theta: np.ndarray, tol: float = TOL_RANK) -> Decomposition:
+def full_rank_decompose(h_theta: np.ndarray) -> Decomposition:
     """Truncated-SVD rank factorization P = U_r Sigma_r, S = V_r^T."""
     u, sv, vt = np.linalg.svd(h_theta)
     top = sv[0] if sv.size else 0.0
-    r = int(np.sum(sv > tol * max(top, 1.0)))
+    r = int(np.sum(sv > TOL_RANK * max(top, 1.0)))
     if r == 0:
         raise DegenerateRankError("decompose", "Hankel block has numeric rank 0; nothing to learn")
     return Decomposition(
@@ -125,7 +127,7 @@ def full_rank_decompose(h_theta: np.ndarray, tol: float = TOL_RANK) -> Decomposi
     )
 
 
-def naturalize(d: Decomposition, tol: float = TOL_BINARY) -> tuple[Decomposition, np.ndarray]:
+def naturalize(d: Decomposition) -> tuple[Decomposition, np.ndarray]:
     """Rebase (P, S) so P has basis-vector rows and S is binary.
 
     Scans P top-down (empty-word row first, so state 0 is always the
@@ -146,8 +148,8 @@ def naturalize(d: Decomposition, tol: float = TOL_BINARY) -> tuple[Decomposition
         raise NaturalityError("naturalize", "left factor is rank-deficient; cannot build a change of basis")
     b = p[chosen, :]
     b_inv = np.linalg.inv(b)
-    p_new = _snap_binary(p @ b_inv, tol)
-    s_new = _snap_binary(b @ d.s, tol)
+    p_new = _snap_binary(p @ b_inv)
+    s_new = _snap_binary(b @ d.s)
     if p_new is None or s_new is None or not _rows_unit_or_zero(p_new):
         raise NaturalityError(
             "naturalize",
@@ -170,13 +172,13 @@ def extract_tuple(hz: HankelSet, d: Decomposition) -> TransitionTuple:
     )
 
 
-def is_natural(t: TransitionTuple, tol: float = TOL_BINARY) -> bool:
-    t0 = _snap_binary(t.t0, tol)
-    t_inf = _snap_binary(t.t_inf, tol)
+def is_natural(t: TransitionTuple) -> bool:
+    t0 = _snap_binary(t.t0)
+    t_inf = _snap_binary(t.t_inf)
     if t0 is None or t_inf is None or t0.sum() != 1.0:
         return False
     for mat in t.trans.values():
-        snapped = _snap_binary(mat, tol)
+        snapped = _snap_binary(mat)
         if snapped is None or not _rows_unit_or_zero(snapped):
             return False
     return True
@@ -205,11 +207,11 @@ def tuple_to_fst(t: TransitionTuple, alphabet: Sequence[Letter] | None = None) -
     missing = [chi for chi in letters if chi not in t.trans]
     if missing:
         raise ValueError(f"letters {missing!r} are not in the tuple's alphabet")
-    t0 = _snap_binary(t.t0, TOL_BINARY)
-    t_inf = _snap_binary(t.t_inf, TOL_BINARY)
+    t0 = _snap_binary(t.t0)
+    t_inf = _snap_binary(t.t_inf)
     transitions = set()
     for chi in letters:
-        mat = _snap_binary(t.trans[chi], TOL_BINARY)
+        mat = _snap_binary(t.trans[chi])
         for src, dst in np.argwhere(mat == 1.0):
             transitions.add((str(int(src)), chi[0], chi[1], str(int(dst))))
     machine = Fst(
@@ -221,12 +223,7 @@ def tuple_to_fst(t: TransitionTuple, alphabet: Sequence[Letter] | None = None) -
     return trim(machine)
 
 
-def learn_pipeline(
-    d: SampleSet,
-    max_mask_len: int | None = None,
-    tol_rank: float = TOL_RANK,
-    tol_binary: float = TOL_BINARY,
-) -> LearnResult:
+def learn_pipeline(d: SampleSet, max_mask_len: int | None = None) -> LearnResult:
     """find_basis -> Hankel set -> closedness gate -> SVD -> naturalize -> FST.
 
     max_mask_len defaults to hankel.default_mask_len(d).
@@ -237,14 +234,14 @@ def learn_pipeline(
         max_mask_len = default_mask_len(d)
     mask = find_basis(d, max_mask_len)
     hz = build_hankel_set(d, mask)
-    if not check_closed(hz, tol_binary):
+    if not check_closed(hz):
         raise ClosednessError(
             "closedness",
             "an H_chi row leaves the row space of H_Theta: insufficient data or mask; "
             "increase max_mask_len or collect more samples",
         )
-    raw = full_rank_decompose(hz.h_theta, tol_rank)
-    natural, b = naturalize(raw, tol_binary)
+    raw = full_rank_decompose(hz.h_theta)
+    natural, b = naturalize(raw)
     tup = extract_tuple(hz, natural)
     fst = tuple_to_fst(tup, d.alphabet)
     return LearnResult(sample=d, mask=mask, hankel=hz, raw=raw, b=b, natural=natural, tup=tup, fst=fst)

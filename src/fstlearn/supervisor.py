@@ -35,6 +35,7 @@ from .fst import (
     invert,
     is_prefix_closed,
     minimize,
+    remove_silent,
 )
 
 
@@ -84,12 +85,13 @@ def pattern_to_fst(text: str) -> Fst:
     if "".join(tokens) != "".join(text.split()):
         raise FormatError(f"unrecognized characters in pattern {text!r}")
 
-    arcs: list[tuple[int, Letter | None, int]] = []
-    counter = [0]
+    # edges[k] lists node k's (letter, target) pairs; a None letter is a
+    # silent scaffolding link, closed away by remove_silent.
+    edges: list[list[tuple[Letter | None, int]]] = []
 
     def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
+        edges.append([])
+        return len(edges) - 1
 
     pos = [0]
 
@@ -109,7 +111,7 @@ def pattern_to_fst(text: str) -> Fst:
         end = start
         while peek() == "(":
             s, e = parse_item()
-            arcs.append((end, None, s))
+            edges[end].append((None, s))
             end = e
         return start, end
 
@@ -126,56 +128,19 @@ def pattern_to_fst(text: str) -> Fst:
             if letter == (EPS, EPS):
                 raise FormatError("the (eps,eps) letter cannot appear in a pattern")
             s, e = fresh(), fresh()
-            arcs.append((s, letter, e))
+            edges[s].append((letter, e))
         else:
             s, e = parse_seq()
             take(")")
         if peek() == "*":
             take("*")
             outer_s, outer_e = fresh(), fresh()
-            arcs.append((outer_s, None, s))
-            arcs.append((e, None, s))
-            arcs.append((e, None, outer_e))
-            arcs.append((outer_s, None, outer_e))
+            edges[outer_s] += [(None, s), (None, outer_e)]
+            edges[e] += [(None, s), (None, outer_e)]
             return outer_s, outer_e
         return s, e
 
-    start, _ = parse_seq()
+    parse_seq()  # its start node is node 0
     if pos[0] != len(tokens):
         raise FormatError(f"bad pattern {text!r}: trailing tokens")
-
-    # Silent links are construction scaffolding; close over them so the
-    # final machine has only letter-labeled transitions.
-    nodes = {start}
-    silent: dict[int, list[int]] = {}
-    labeled: dict[int, list[tuple[Letter, int]]] = {}
-    for src, letter, dst in arcs:
-        nodes.update((src, dst))
-        if letter is None:
-            silent.setdefault(src, []).append(dst)
-        else:
-            labeled.setdefault(src, []).append((letter, dst))
-
-    def closure(q: int) -> set[int]:
-        seen = {q}
-        stack = [q]
-        while stack:
-            for nxt in silent.get(stack.pop(), []):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    transitions = set()
-    for q in nodes:
-        for q2 in closure(q):
-            for letter, dst in labeled.get(q2, []):
-                transitions.add((str(q), letter[0], letter[1], str(dst)))
-
-    raw = Fst(
-        states=tuple(str(q) for q in sorted(nodes)),
-        initial=str(start),
-        transitions=frozenset(transitions),
-        finals=frozenset(str(q) for q in sorted(nodes)),
-    )
-    return minimize(raw)
+    return minimize(remove_silent(edges, range(len(edges))))

@@ -12,6 +12,7 @@ import pytest
 import fstlearn
 from fstlearn import Fst, invert, load_fst, save_fst
 from fstlearn.cli import main
+from fstlearn.fst import MAX_STATES
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 ATTACKER = str(DEMO / "attacker.fst")
@@ -333,6 +334,7 @@ class TestDiagnostics:
              "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER, "--mk", MK],
             ["hankel", "--tol-binary", "1e-3", "--data", ATTACKER_DATA],
             ["sample", "--tol-rank", "1e-3", "--attacker", ATTACKER, "--out", "x.txt"],
+            ["learn", "--tol-rank", "1e-9", "--data", ATTACKER_DATA, "--out", "x.fst"],
         ],
     )
     def test_flag_the_subcommand_does_not_use_exits_two(self, argv, capsys):
@@ -362,6 +364,30 @@ class TestDiagnostics:
         assert "error:" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.fst").exists() and not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["equiv", "BAD", ATTACKER], ["learn", "--data", "BAD", "--out", "TMP/x.fst"]]
+    )
+    def test_file_that_is_not_utf8_exits_two(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"fst v1\n\xff\n")
+        assert main([a.replace("BAD", str(bad)).replace("TMP", str(tmp_path)) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "offset 7" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.fst").exists()
+
+    def test_state_bound_exits_three(self, tmp_path, capsys):
+        # A ring one state past the bound: determinizing it needs every state.
+        n = MAX_STATES + 1
+        ring = tmp_path / "ring.fst"
+        ring.write_text(
+            f"fst v1\ninitial 0\nfinal {' '.join(map(str, range(n)))}\n"
+            + "".join(f"trans {k} a a {(k + 1) % n}\n" for k in range(n))
+        )
+        assert main(["equiv", str(ring), str(ring)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: determinization exceeded the 10000-state bound\n"
 
     def test_unexpected_exception_exits_four_with_its_traceback(self, monkeypatch, capsys):
         def broken(left, right):

@@ -27,6 +27,7 @@ from fstlearn import (
     is_prefix_closed,
     language_upto,
     minimize,
+    pattern_to_fst,
     trim,
 )
 from fstlearn import fst as fst_module
@@ -480,3 +481,41 @@ class TestByteStableOutput:
             "trans 1 y n 3\ntrans 2 x n 3\ntrans 2 y m 0\ntrans 3 x m 4\n"
             "trans 4 y n 3\n"
         )
+
+    def test_pattern_to_fst(self):
+        assert fst_to_text(pattern_to_fst("((x:u)*(y:<eps>)(<eps>:v))*")) == (
+            "fst v1\ninitial 0\nfinal 0 1\n"
+            "trans 0 x u 0\ntrans 0 y <eps> 1\ntrans 1 <eps> v 0\n"
+        )
+
+    def test_counterexample(self):
+        # Each pair has two shortest differences; the witness is the first
+        # in BFS order over sorted letters.
+        assert counterexample(TIE_A, TIE_C) == (("x", "m"),)
+        assert counterexample(intersect(TIE_A, TIE_C), TIE_A) == (
+            ("x", "m"), ("x", "n"), ("x", "m"), ("y", "n"),
+        )
+
+
+def _ring(n: int) -> Fst:
+    """A one-letter cycle of n states, all of them final."""
+    states = {str(k) for k in range(n)}
+    return _machine({(str(k), "a", "a", str((k + 1) % n)) for k in range(n)}, states)
+
+
+class TestStateBound:
+    @pytest.mark.parametrize(
+        "build, needed, what",
+        [
+            (lambda bound: compose(_ring(3), _ring(4), bound), 12, "composition"),
+            (lambda bound: intersect(_ring(3), _ring(4), bound), 12, "intersection"),
+            (lambda bound: minimize(_ring(5), bound), 5, "determinization"),
+            (lambda bound: is_prefix_closed(_ring(5), bound), 5, "determinization"),
+            (lambda bound: counterexample(_ring(3), _ring(4), bound), 12, "equivalence check"),
+        ],
+        ids=["compose", "intersect", "minimize", "is_prefix_closed", "counterexample"],
+    )
+    def test_bound_admits_exactly_the_nodes_needed(self, build, needed, what):
+        build(needed)
+        with pytest.raises(ResourceLimitError, match=f"^{what} exceeded the {needed - 1}-state bound$"):
+            build(needed - 1)
