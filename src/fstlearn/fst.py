@@ -243,18 +243,22 @@ def _canonical(fst: Fst) -> Fst:
     )
 
 
-def _explore(start, moves, max_states: int, what: str):
+def _explore(start, moves, max_states: int, what: str, stop=None):
     """Breadth-first walk from start, numbering nodes in discovery order.
 
     moves(node) yields (label, target node) pairs. Returns (order, edges):
     order[k] is node k and edges[k] lists its (label, target number)
-    pairs in the order moves gave them. A walk that would number more
-    than max_states nodes raises ResourceLimitError naming `what`.
+    pairs in the order moves gave them. If stop(node) holds for a node
+    as it is taken up, the walk ends there, before expanding it; that
+    node is order[len(edges)]. A walk that would number more than
+    max_states nodes raises ResourceLimitError naming `what`.
     """
     index = {start: 0}
     order = [start]
     edges = []
     for node in order:
+        if stop is not None and stop(node):
+            break
         out = []
         for label, tgt in moves(node):
             k = index.get(tgt)
@@ -401,8 +405,9 @@ def counterexample(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Word | None:
     """Shortest word accepted by exactly one of the two machines, or None.
 
     BFS over the product of the two determinized partial acceptors, with
-    an implicit rejecting sink (None) on missing letters. The witness
-    follows the edge that first reached each node on its way.
+    an implicit rejecting sink (None) on missing letters, stopping at the
+    first node where they differ. The witness follows the edge that first
+    reached each node on its way.
     """
     da, fa = _determinize(trim(a), max_states)
     db, fb = _determinize(trim(b), max_states)
@@ -418,9 +423,12 @@ def counterexample(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Word | None:
             if ta is not None or tb is not None:
                 yield letter, (ta, tb)
 
-    order, edges = _explore((0, 0), moves, max_states, "equivalence check")
-    k = next((k for k, (sa, sb) in enumerate(order) if (sa in fa) != (sb in fb)), None)
-    if k is None:
+    def differ(node):
+        return (node[0] in fa) != (node[1] in fb)
+
+    order, edges = _explore((0, 0), moves, max_states, "equivalence check", differ)
+    k = len(edges)
+    if k == len(order):
         return None
     first: dict[int, tuple[int, Letter]] = {}
     for src, out in enumerate(edges):

@@ -497,10 +497,11 @@ class TestByteStableOutput:
         )
 
 
-def _ring(n: int) -> Fst:
-    """A one-letter cycle of n states, all of them final."""
-    states = {str(k) for k in range(n)}
-    return _machine({(str(k), "a", "a", str((k + 1) % n)) for k in range(n)}, states)
+def _ring(n: int, finals=None) -> Fst:
+    """A one-letter cycle of n states, all of them final unless finals is given."""
+    if finals is None:
+        finals = {str(k) for k in range(n)}
+    return _machine({(str(k), "a", "a", str((k + 1) % n)) for k in range(n)}, finals)
 
 
 class TestStateBound:
@@ -519,3 +520,10 @@ class TestStateBound:
         build(needed)
         with pytest.raises(ResourceLimitError, match=f"^{what} exceeded the {needed - 1}-state bound$"):
             build(needed - 1)
+
+    def test_counterexample_stops_at_the_first_difference(self):
+        # The product of these rings is one cycle of 10 100 nodes, but they
+        # first differ at a^100, the 101st node the walk numbers.
+        a, b = _ring(100, {"0"}), _ring(101, {"0"})
+        assert counterexample(a, b) == (("a", "a"),) * 100
+        assert counterexample(a, b, 101) == (("a", "a"),) * 100
