@@ -21,7 +21,7 @@ class FormatError(FstlearnError):
 
 
 class ResourceLimitError(FstlearnError):
-    """A construction exceeded the configured state or word bound."""
+    """A construction exceeded the configured state, word or cell bound."""
 
     exit_code = 3
 

@@ -9,7 +9,8 @@ induces the binary matrices
 
 find_basis greedily grows a mask until its H_Theta reaches the rank of
 the full candidate Hankel block, which for exhaustively sampled
-deterministic ground truth equals the minimal state count. check_closed
+deterministic ground truth equals the minimal state count; it works on
+that block's distinct nonzero rows and columns only. check_closed
 tests that every H_chi row lies in the row space of H_Theta; when it
 fails, the data or the mask is too small to support learning.
 """
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .fst import SampleSet, Letter, Word
 
 TOL_RANK = 1e-9
@@ -28,6 +30,9 @@ TOL_BINARY = 1e-6
 # Residual threshold for the greedy span tests in find_basis. Entries are
 # 0/1 and masks stay tiny, so true nonzero residuals are far above this.
 _RESIDUAL_TOL = 1e-8
+
+# Bound on find_basis's block, distinct rows x distinct columns.
+MAX_BLOCK_CELLS = 10**7
 
 
 def _shortlex(words) -> list[Word]:
@@ -110,34 +115,45 @@ def default_mask_len(d: SampleSet) -> int:
     return max(0, (max(len(w) for w in d.words) - 1) // 2)
 
 
+def _first_of_each(words, key) -> list[Word]:
+    """The shortlex-first word of each distinct key(word), in shortlex order."""
+    first: dict = {}
+    for w in _shortlex(words):
+        first.setdefault(key(w), w)
+    return list(first.values())
+
+
 def find_basis(d: SampleSet, max_len: int) -> Mask:
     """Greedy rank-maximizing mask over prefixes/suffixes of D.
 
-    Candidates are all prefixes and suffixes of words in D no longer
-    than max_len, scanned in shortlex order. Starting from ([eps],[eps])
-    the loop admits the first candidate row, column, or row/column pair
-    that strictly raises the rank of H_Theta, until the full candidate
-    block's rank is reached. Deterministic for a fixed D.
+    Candidates are the halves of the in-range splits w = psi gamma of
+    words in D (max(0, |w| - max_len) <= |psi| <= min(|w|, max_len)),
+    cut down to the shortlex-first of each distinct nonzero row, then
+    column; eps leads both. Starting from ([eps],[eps]) the loop admits
+    the first candidate row, column, or row/column pair that strictly
+    raises the rank of H_Theta, until the block's rank is reached.
+    Deterministic for a fixed D. The cut keeps the full block's mask: a
+    zero line never gains or mismatches, a repeat acts as its first twin.
+    Raises ResourceLimitError before allocating over MAX_BLOCK_CELLS cells.
     """
-    pset, sset = {()}, {()}
+    after: dict[Word, set[Word]] = {(): set()}  # prefix -> the suffixes completing it in D
     for w in d.words:
-        for k in range(len(w) + 1):
-            if k <= max_len:
-                pset.add(w[:k])
-            if len(w) - k <= max_len:
-                sset.add(w[k:])
-    pcand, scand = _shortlex(pset), _shortlex(sset)
-    pidx = {w: i for i, w in enumerate(pcand)}
-    sidx = {w: i for i, w in enumerate(scand)}
-
-    # Fill the full candidate block by splitting each sample word once,
-    # instead of testing |Psi|x|Gamma| concatenations for membership.
+        for k in range(max(0, len(w) - max_len), min(len(w), max_len) + 1):
+            after.setdefault(w[:k], set()).add(w[k:])
+    pcand = _first_of_each(after, lambda p: frozenset(after[p]))
+    rows_of: dict[Word, list[int]] = {(): []}  # suffix -> the kept rows holding it
+    for i, p in enumerate(pcand):
+        for s in after[p]:
+            rows_of.setdefault(s, []).append(i)
+    scand = _first_of_each(rows_of, lambda s: tuple(rows_of[s]))
+    if len(pcand) * len(scand) > MAX_BLOCK_CELLS:
+        raise ResourceLimitError(
+            f"Hankel block of {len(pcand)} distinct rows x {len(scand)} distinct columns "
+            f"exceeds the {MAX_BLOCK_CELLS}-cell bound"
+        )
     h = np.zeros((len(pcand), len(scand)))
-    for w in d.words:
-        for k in range(len(w) + 1):
-            r, c = pidx.get(w[:k]), sidx.get(w[k:])
-            if r is not None and c is not None:
-                h[r, c] = 1.0
+    for j, s in enumerate(scand):
+        h[rows_of[s], j] = 1.0
 
     target = numeric_rank(h)
     rows, cols = [0], [0]

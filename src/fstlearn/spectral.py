@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AnalysisError, ClosednessError, DegenerateRankError, NaturalityError
+from .formats import letter_to_text
 from .fst import EPS, Fst, Letter, SampleSet, Word, trim
 from .hankel import (
     TOL_BINARY,
@@ -224,7 +225,7 @@ def tuple_to_fst(t: TransitionTuple, alphabet: Sequence[Letter] | None = None) -
 
 
 def learn_pipeline(d: SampleSet, max_mask_len: int | None = None) -> LearnResult:
-    """find_basis -> Hankel set -> closedness gate -> SVD -> naturalize -> FST.
+    """find_basis -> Hankel set -> closedness gate -> SVD -> naturalize -> FST -> letter gate.
 
     max_mask_len defaults to hankel.default_mask_len(d).
     """
@@ -244,6 +245,15 @@ def learn_pipeline(d: SampleSet, max_mask_len: int | None = None) -> LearnResult
     natural, b = naturalize(raw)
     tup = extract_tuple(hz, natural)
     fst = tuple_to_fst(tup, d.alphabet)
+    # A recorded letter that no arc carries makes some recording rejected.
+    carried = fst.letters()
+    lost = next((chi for chi in d.alphabet if chi not in carried), None)
+    if lost is not None:
+        raise AnalysisError(
+            "consistency",
+            f"the learned model has no arc for the recorded letter {letter_to_text(lost)}, "
+            "so it rejects a recording; increase max_mask_len or collect more samples",
+        )
     return LearnResult(sample=d, mask=mask, hankel=hz, raw=raw, b=b, natural=natural, tup=tup, fst=fst)
 
 

@@ -14,7 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from fstlearn.fst import EPS, Fst, language_upto, minimize, trim
+from fstlearn.fst import EPS, Fst, SampleSet, language_upto, minimize, trim
+from fstlearn.hankel import TOL_BINARY, Mask, numeric_rank
 
 
 def ref_accepts(fst: Fst, word) -> bool:
@@ -88,6 +89,88 @@ def full_candidate_rank(words: set, max_len: int) -> int:
                 sset.add(w[k:])
     h = ref_hankel(words, sorted(pset), sorted(sset))
     return int(np.linalg.matrix_rank(h))
+
+
+# Residual threshold of the greedy span tests, as in fstlearn.hankel.
+_RESIDUAL_TOL = 1e-8
+
+
+def _shortlex(words) -> list:
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def ref_find_basis(d: SampleSet, max_len: int) -> Mask:
+    """find_basis on the full candidate block: every split, no dedupe.
+
+    Greedy rank-maximizing mask over prefixes/suffixes of D.
+
+    Candidates are all prefixes and suffixes of words in D no longer
+    than max_len, scanned in shortlex order. Starting from ([eps],[eps])
+    the loop admits the first candidate row, column, or row/column pair
+    that strictly raises the rank of H_Theta, until the full candidate
+    block's rank is reached. Deterministic for a fixed D.
+    """
+    pset, sset = {()}, {()}
+    for w in d.words:
+        for k in range(len(w) + 1):
+            if k <= max_len:
+                pset.add(w[:k])
+            if len(w) - k <= max_len:
+                sset.add(w[k:])
+    pcand, scand = _shortlex(pset), _shortlex(sset)
+    pidx = {w: i for i, w in enumerate(pcand)}
+    sidx = {w: i for i, w in enumerate(scand)}
+
+    # Fill the full candidate block by splitting each sample word once,
+    # instead of testing |Psi|x|Gamma| concatenations for membership.
+    h = np.zeros((len(pcand), len(scand)))
+    for w in d.words:
+        for k in range(len(w) + 1):
+            r, c = pidx.get(w[:k]), sidx.get(w[k:])
+            if r is not None and c is not None:
+                h[r, c] = 1.0
+
+    target = numeric_rank(h)
+    rows, cols = [0], [0]
+    while True:
+        m = h[np.ix_(rows, cols)]
+        if numeric_rank(m) >= target:
+            break
+        m_pinv = np.linalg.pinv(m)
+
+        # Candidate row outside the current row space.
+        r_all = h[:, cols]
+        gain = np.max(np.abs(r_all - r_all @ m_pinv @ m), axis=1) > _RESIDUAL_TOL
+        new_rows = [i for i in np.flatnonzero(gain) if i not in rows]
+        if new_rows:
+            rows.append(int(new_rows[0]))
+            continue
+
+        # Candidate column outside the current column space.
+        c_all = h[rows, :]
+        gain = np.max(np.abs(c_all - m @ m_pinv @ c_all), axis=0) > _RESIDUAL_TOL
+        new_cols = [j for j in np.flatnonzero(gain) if j not in cols]
+        if new_cols:
+            cols.append(int(new_cols[0]))
+            continue
+
+        # Every single row/column is spanned, so a joint addition raises
+        # the rank exactly where the Schur-style prediction
+        # h[p, cols] m+ h[rows, s] disagrees with the actual entry.
+        pred = r_all @ m_pinv @ c_all
+        mismatch = np.abs(pred - h) > TOL_BINARY
+        mismatch[rows, :] = False
+        mismatch[:, cols] = False
+        hits = np.argwhere(mismatch)
+        if len(hits) == 0:
+            break
+        rows.append(int(hits[0][0]))
+        cols.append(int(hits[0][1]))
+
+    return Mask(
+        prefixes=tuple(pcand[i] for i in rows),
+        suffixes=tuple(scand[j] for j in cols),
+    )
 
 
 # Ground-truth generators for the learning suite. The spectral method

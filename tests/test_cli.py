@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fstlearn
+import fstlearn.hankel
 from fstlearn import Fst, invert, load_fst, save_fst
 from fstlearn.cli import main
 from fstlearn.fst import MAX_STATES
@@ -79,6 +80,18 @@ class TestLearn:
         code = main(["learn", "--data", str(empty), "--out", str(tmp_path / "x.fst")])
         assert code == 1
         assert "dataset is empty" in capsys.readouterr().err
+
+
+    def test_model_without_a_recorded_letter_exits_one(self, tmp_path, capsys):
+        # Mask length 0 learns one state without a1:a2, which would reject
+        # the recording a1:a3 a1:a2.
+        out = tmp_path / "learned.fst"
+        code = main(["learn", "--data", ATTACKER_DATA, "--out", str(out), "--max-mask-len", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[consistency]" in err and "a1:a2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSynthAndVerify:
@@ -388,6 +401,15 @@ class TestDiagnostics:
         assert main(["equiv", str(ring), str(ring)]) == 3
         err = capsys.readouterr().err
         assert err == "error: determinization exceeded the 10000-state bound\n"
+
+    def test_hankel_block_bound_exits_three(self, monkeypatch, tmp_path, capsys):
+        # The demo block has 2 distinct rows x 3 distinct columns.
+        monkeypatch.setattr(fstlearn.hankel, "MAX_BLOCK_CELLS", 5)
+        out = tmp_path / "learned.fst"
+        assert main(["learn", "--data", ATTACKER_DATA, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: Hankel block of 2 distinct rows x 3 distinct columns exceeds the 5-cell bound\n"
+        assert not out.exists()
 
     def test_unexpected_exception_exits_four_with_its_traceback(self, monkeypatch, capsys):
         def broken(left, right):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fstlearn.hankel
 from fstlearn import (
     AnalysisError,
     Fst,
     HankelSet,
     Mask,
+    ResourceLimitError,
     SampleSet,
     accepts,
     build_h_chi,
@@ -36,7 +38,14 @@ from conftest import (
     GOLDEN_H_THETA,
     GOLDEN_MASK,
 )
-from oracles import PAIR_LETTERS, default_mask_len, full_candidate_rank, ref_hankel
+from oracles import (
+    PAIR_LETTERS,
+    default_mask_len,
+    full_candidate_rank,
+    ref_find_basis,
+    ref_hankel,
+    spectral_ground_truth,
+)
 
 
 def words_strategy(max_words: int = 6, max_len: int = 3):
@@ -201,6 +210,44 @@ class TestFindBasis:
         assert set(mask.prefixes) <= prefixes | {()}
         assert set(mask.suffixes) <= suffixes | {()}
         assert mask.prefixes[0] == () and mask.suffixes[0] == ()
+
+
+class TestFindBasisAgainstFullBlock:
+    """find_basis works on distinct nonzero rows and columns only; the
+    reference builds the full candidate block. The masks must agree."""
+
+    @given(
+        words=words_strategy(max_words=8, max_len=5),
+        prefix_closed=st.booleans(),
+        drop_empty_word=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_mask_as_the_full_candidate_block(self, words, prefix_closed, drop_empty_word):
+        if prefix_closed:
+            words = {w[:k] for w in words for k in range(len(w) + 1)}
+        if drop_empty_word:
+            words = set(words) - {()}
+        d = SampleSet.from_words(words)
+        for max_len in range(4):
+            assert find_basis(d, max_len) == ref_find_basis(d, max_len)
+
+    def test_same_mask_on_an_exhaustive_six_state_sample(self):
+        machine, words = spectral_ground_truth(84, max_states=6)
+        assert len(minimize(machine).states) == 6
+        d = SampleSet.from_words(words)
+        max_len = default_mask_len(words)
+        mask = find_basis(d, max_len)
+        assert mask == ref_find_basis(d, max_len)
+        assert numeric_rank(build_h_theta(d, mask)) == 6
+
+    def test_block_bound_counts_distinct_rows_times_columns(self, demo_dataset, monkeypatch):
+        # The demo block at mask length 1 has 2 distinct rows x 3 distinct columns.
+        monkeypatch.setattr(fstlearn.hankel, "MAX_BLOCK_CELLS", 6)
+        assert find_basis(demo_dataset, 1) == Mask(prefixes=((), (CHI2,)), suffixes=((), (CHI3,)))
+        monkeypatch.setattr(fstlearn.hankel, "MAX_BLOCK_CELLS", 5)
+        with pytest.raises(ResourceLimitError) as err:
+            find_basis(demo_dataset, 1)
+        assert str(err.value) == "Hankel block of 2 distinct rows x 3 distinct columns exceeds the 5-cell bound"
 
 
 class TestCheckClosed:

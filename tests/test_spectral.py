@@ -321,6 +321,14 @@ class TestLearnPipeline:
     def test_deterministic(self, demo_dataset):
         assert learn_pipeline(demo_dataset).fst == learn_pipeline(demo_dataset).fst
 
+    def test_model_without_a_recorded_letter_fails_loudly(self, demo_dataset):
+        # At mask length 0 the learned model is one state that drops a1:a2,
+        # so it would reject the recording a1:a3 a1:a2.
+        with pytest.raises(AnalysisError) as err:
+            learn_fst(demo_dataset, max_mask_len=0)
+        assert err.value.stage == "consistency"
+        assert "a1:a2" in err.value.message
+
     def test_unclosed_sample_fails_loudly(self):
         # A sample containing only the one-letter word: the shifted block
         # leaves the (all-zero) row space, which must be reported as a
