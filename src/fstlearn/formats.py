@@ -52,11 +52,17 @@ def word_to_text(w: Word) -> str:
     return " ".join(letter_to_text(l) for l in w)
 
 
-def word_from_text(text: str) -> Word:
+def _word_from_text(text: str, letters: dict[str, Letter]) -> Word:
     text = text.strip()
     if not text or text == EMPTY_TOKEN:
         return ()
-    return tuple(letter_from_text(tok) for tok in text.split())
+    toks = text.split()
+    letters.update((t, letter_from_text(t)) for t in toks if t not in letters)  # stores as it reads
+    return tuple(map(letters.__getitem__, toks))
+
+
+def word_from_text(text: str) -> Word:
+    return _word_from_text(text, {})
 
 
 def _shortlex(items):
@@ -142,12 +148,13 @@ def sampleset_to_text(d: SampleSet) -> str:
 
 
 def sampleset_from_text(text: str) -> SampleSet:
-    words = []
+    """Each distinct token is parsed once; a bad one raises at its first use."""
+    letters, words = {}, []
     for raw in text.splitlines():
         content, comment, _ = raw.partition("#")
         if comment and not content.strip():
             continue  # comment-only line, not an empty word
-        words.append(word_from_text(content))  # a blank line is the empty word
+        words.append(_word_from_text(content, letters))  # a blank line is the empty word
     return SampleSet(words, ())
 
 

@@ -130,7 +130,10 @@ class SampleSet:
     def __post_init__(self):
         words = frozenset(tuple(map(tuple, w)) for w in self.words)
         alphabet = tuple(sorted({l for w in words for l in w}))
-        for (i, o) in alphabet:
+        for letter in alphabet:
+            if len(letter) != 2:
+                raise FormatError(f"bad letter {letter!r}: expected an (in, out) pair")
+            i, o = letter
             if i == EPS and o == EPS:
                 raise FormatError("stored words must not contain the (eps,eps) letter")
             _check_symbol(i)

@@ -14,7 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from fstlearn.fst import EPS, Fst, SampleSet, language_upto, minimize, trim
+from fstlearn.formats import letter_from_text
+from fstlearn.fst import EMPTY_TOKEN, EPS, Fst, SampleSet, language_upto, minimize, trim
 from fstlearn.hankel import TOL_BINARY, Mask, numeric_rank
 
 
@@ -171,6 +172,24 @@ def ref_find_basis(d: SampleSet, max_len: int) -> Mask:
         prefixes=tuple(pcand[i] for i in rows),
         suffixes=tuple(scand[j] for j in cols),
     )
+
+
+def _ref_word_from_text(text: str):
+    text = text.strip()
+    if not text or text == EMPTY_TOKEN:
+        return ()
+    return tuple(letter_from_text(tok) for tok in text.split())
+
+
+def ref_sampleset_from_text(text: str) -> SampleSet:
+    """Dataset parsing that parses every token occurrence afresh (no memo)."""
+    words = []
+    for raw in text.splitlines():
+        content, comment, _ = raw.partition("#")
+        if comment and not content.strip():
+            continue  # comment-only line, not an empty word
+        words.append(_ref_word_from_text(content))  # a blank line is the empty word
+    return SampleSet(words, ())
 
 
 # Ground-truth generators for the learning suite. The spectral method

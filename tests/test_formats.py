@@ -19,9 +19,27 @@ from fstlearn import (
     word_from_text,
     word_to_text,
 )
+import fstlearn.formats as formats
 from fstlearn.formats import grid, letter_from_text, letter_to_text
-from oracles import PAIR_LETTERS
+from oracles import PAIR_LETTERS, ref_sampleset_from_text
 from test_fst import machines
+
+
+# Dataset tokens: valid letters (<eps> on either side), the empty-word
+# token, whitespace, comments, and malformed letters.
+TOKENS = (
+    "x:u", "y:v", "<eps>:u", "x:<eps>", "<empty>", "", " ", "\t",
+    "# note", "#", "a:", ":b", "a:b:c", "<eps>:<eps>", "word",
+)
+ENDS = ("\n", "\r\n", "  # end\n", "")
+
+
+def _outcome(parse, text):
+    try:
+        d = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d.words, d.alphabet
 
 
 class TestWords:
@@ -120,6 +138,30 @@ class TestDatasetFormat:
     def test_inline_comment_stripped(self):
         d = sampleset_from_text("x:u y:v # observed twice\n")
         assert d.words == frozenset({(("x", "u"), ("y", "v"))})
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(TOKENS), max_size=5), st.sampled_from(ENDS)), max_size=8))
+    def test_same_result_as_parsing_every_token_afresh(self, lines):
+        text = "".join(" ".join(toks) + end for toks, end in lines)
+        want = _outcome(ref_sampleset_from_text, text)
+        got = _outcome(sampleset_from_text, text)
+        assert got == want
+
+    def test_each_distinct_token_is_parsed_once(self, monkeypatch):
+        calls = []
+
+        def counting(tok):
+            calls.append(tok)
+            return letter_from_text(tok)
+
+        monkeypatch.setattr(formats, "letter_from_text", counting)
+        d = sampleset_from_text("x:u <eps>:v x:u\n" * 3000 + "<eps>:v\n")
+        assert sorted(calls) == ["<eps>:v", "x:u"]
+        assert d.words == frozenset({(("x", "u"), (EPS, "v"), ("x", "u")), ((EPS, "v"),)})
+
+    def test_bad_token_is_reported_at_its_first_occurrence(self):
+        with pytest.raises(FormatError, match="'bad1'"):
+            sampleset_from_text("x:u bad1\nbad2\n")
 
     def test_word_order_is_shortlex(self):
         d = SampleSet.from_words({(("y", "v"),), (("x", "u"), ("x", "u")), ()})

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,11 @@ class TestSampleSet:
     def test_stay_letter_rejected(self):
         with pytest.raises(FormatError, match="eps,eps"):
             SampleSet.from_words([(("x", "u"), (EPS, EPS))])
+
+    def test_letter_that_is_not_a_pair_rejected(self):
+        for letter in (("a", "b", "c"), ("a",)):
+            with pytest.raises(FormatError, match=re.escape(repr(letter))):
+                SampleSet.from_words([[letter]])
 
     def test_first_bad_symbol_in_sorted_order_is_reported(self):
         # Independent of set iteration order, hence of PYTHONHASHSEED.
