@@ -36,11 +36,11 @@ from .supervisor import SynthesisResult, pattern_to_fst, synthesize, verify_resi
 
 
 def _load_mk(spec_text: str) -> Fst:
-    # A value naming an existing file is loaded; anything else is
-    # parsed as a desired-language pattern like ((a1:s2)(a2:s2))*.
-    if os.path.exists(spec_text):
-        return load_fst(spec_text)
-    return pattern_to_fst(spec_text)
+    # A value starting with '(' is a desired-language pattern like
+    # ((a1:s2)(a2:s2))*; anything else names a machine file.
+    if spec_text.lstrip().startswith("("):
+        return pattern_to_fst(spec_text)
+    return load_fst(spec_text)
 
 
 def _sanitize(symbol: str) -> str:

@@ -9,8 +9,7 @@ Machine format (one item per line, '#' starts a comment):
 
 '<eps>' stands for the empty symbol. Transitions are sorted on serialize
 and finals are listed in shortlex order, so parse -> serialize is
-byte-stable. Alphabets are reconstructed from the transitions, so
-declared-but-unused symbols do not survive a round trip.
+byte-stable.
 
 Dataset format: one word per line, letters space-separated as 'in:out'
 with '<eps>' allowed on either side. The literal '<empty>' or a pure
@@ -20,7 +19,7 @@ whitespace line denotes the empty word; comment-only lines are skipped.
 from __future__ import annotations
 
 from .errors import FormatError
-from .fst import EMPTY_TOKEN, EPS, EPS_TOKEN, Fst, Letter, SampleSet, Word
+from .fst import EMPTY_TOKEN, EPS, EPS_TOKEN, Fst, Letter, SampleSet, Word, shortlex
 
 
 def symbol_to_text(sym: str) -> str:
@@ -65,13 +64,9 @@ def word_from_text(text: str) -> Word:
     return _word_from_text(text, {})
 
 
-def _shortlex(items):
-    return sorted(items, key=lambda x: (len(x), x))
-
-
 def fst_to_text(f: Fst) -> str:
     lines = ["fst v1", f"initial {f.initial}"]
-    lines.append(" ".join(["final", *_shortlex(f.finals)]).rstrip())
+    lines.append(" ".join(["final", *shortlex(f.finals)]).rstrip())
     for (s, i, o, d) in sorted(f.transitions):
         lines.append(f"trans {s} {symbol_to_text(i)} {symbol_to_text(o)} {d}")
     return "\n".join(lines) + "\n"
@@ -123,18 +118,20 @@ def fst_from_text(text: str) -> Fst:
     )
 
 
-def _read_text(path) -> str:
-    """A file's text; bytes that are not UTF-8 are a FormatError."""
+def _load(path, parse):
+    """parse(the file's text); every FormatError, not-UTF-8 included, names the path."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return parse(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from exc
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_fst(path) -> Fst:
-    return fst_from_text(_read_text(path))
+    return _load(path, fst_from_text)
 
 
 def save_fst(f: Fst, path) -> None:
@@ -143,7 +140,7 @@ def save_fst(f: Fst, path) -> None:
 
 
 def sampleset_to_text(d: SampleSet) -> str:
-    lines = [word_to_text(w) for w in _shortlex(d.words)]
+    lines = [word_to_text(w) for w in shortlex(d.words)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -155,11 +152,11 @@ def sampleset_from_text(text: str) -> SampleSet:
         if comment and not content.strip():
             continue  # comment-only line, not an empty word
         words.append(_word_from_text(content, letters))  # a blank line is the empty word
-    return SampleSet(words, ())
+    return SampleSet(words)
 
 
 def load_dataset(path) -> SampleSet:
-    return sampleset_from_text(_read_text(path))
+    return _load(path, sampleset_from_text)
 
 
 def save_dataset(d: SampleSet, path) -> None:

@@ -26,7 +26,8 @@ EPS = ""
 Letter = tuple[str, str]
 Word = tuple[Letter, ...]
 
-# Guards against pathological blowup; exceeding a bound raises, never truncates.
+# Guards against pathological blowup, read where each is checked; exceeding
+# a bound raises, never truncates.
 MAX_STATES = 10_000
 MAX_WORDS = 1_000_000
 
@@ -55,20 +56,17 @@ def _check_state(name: str) -> None:
 
 @dataclass(frozen=True)
 class Fst:
-    """Immutable transducer (states, initial, transitions, finals, alphabets).
+    """Immutable transducer (states, initial, transitions, finals).
 
     Transitions are (src, in, out, dst) quadruples. Explicit (eps, eps)
     transitions are rejected: the stay transition is implicit at every
-    state. Alphabets are widened to cover the transitions and always
-    contain eps. `arcs` is the machine's transition index.
+    state. `arcs` is the machine's transition index.
     """
 
     states: tuple[str, ...]
     initial: str
     transitions: frozenset[tuple[str, str, str, str]]
     finals: frozenset[str]
-    inputs: frozenset[str] = field(default_factory=frozenset)
-    outputs: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
         states = tuple(dict.fromkeys(self.states))
@@ -88,15 +86,11 @@ class Fst:
                 raise FormatError(f"transition ({s},{i},{o},{d}) references unknown state")
             if i == EPS and o == EPS:
                 raise FormatError("explicit (eps,eps) transition: the stay transition is implicit")
-        inputs = frozenset(self.inputs) | {i for (_, i, _, _) in trans} | {EPS}
-        outputs = frozenset(self.outputs) | {o for (_, _, o, _) in trans} | {EPS}
-        for sym in sorted(inputs | outputs):
+        for sym in sorted({sym for (_, i, o, _) in trans for sym in (i, o)}):
             _check_symbol(sym)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", trans)
         object.__setattr__(self, "finals", finals)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
 
     @cached_property
     def arcs(self) -> MappingProxyType[str, tuple[tuple[str, str, str], ...]]:
@@ -125,11 +119,15 @@ class SampleSet:
     """
 
     words: frozenset[Word]
-    alphabet: tuple[Letter, ...]
+    alphabet: tuple[Letter, ...] = field(init=False)
 
     def __post_init__(self):
         words = frozenset(tuple(map(tuple, w)) for w in self.words)
-        alphabet = tuple(sorted({l for w in words for l in w}))
+        letters = {l for w in words for l in w}
+        odd = [repr(l) for l in letters if not all(isinstance(sym, str) for sym in l)]
+        if odd:
+            raise FormatError(f"bad letter {min(odd)}: symbols must be strings")
+        alphabet = tuple(sorted(letters))
         for letter in alphabet:
             if len(letter) != 2:
                 raise FormatError(f"bad letter {letter!r}: expected an (in, out) pair")
@@ -143,10 +141,15 @@ class SampleSet:
 
     @classmethod
     def from_words(cls, words) -> "SampleSet":
-        return cls(words, ())
+        return cls(words)
 
     def __len__(self) -> int:
         return len(self.words)
+
+
+def shortlex(items) -> list:
+    """Items (words or state names) sorted by length, then lexicographically."""
+    return sorted(items, key=lambda x: (len(x), x))
 
 
 def _successors(fst: Fst, subset) -> dict[Letter, set[str]]:
@@ -194,8 +197,6 @@ def invert(fst: Fst) -> Fst:
         initial=fst.initial,
         transitions=frozenset((s, o, i, d) for (s, i, o, d) in fst.transitions),
         finals=fst.finals,
-        inputs=fst.outputs,
-        outputs=fst.inputs,
     )
 
 
@@ -203,7 +204,7 @@ def trim(fst: Fst) -> Fst:
     """Drop states not reachable from the initial or not co-reachable to a final.
 
     State names are preserved. If the language is empty the canonical
-    single-state machine with no finals is returned (alphabets kept).
+    single-state machine with no finals is returned.
     """
     reach = set(_reachable(fst))
     back: dict[str, set[str]] = {}
@@ -219,14 +220,12 @@ def trim(fst: Fst) -> Fst:
                 dq.append(p)
     keep = reach & co
     if fst.initial not in keep:
-        return Fst(("0",), "0", frozenset(), frozenset(), fst.inputs, fst.outputs)
+        return Fst(("0",), "0", frozenset(), frozenset())
     return Fst(
         states=tuple(s for s in fst.states if s in keep),
         initial=fst.initial,
         transitions=frozenset(t for t in fst.transitions if t[0] in keep and t[3] in keep),
         finals=frozenset(s for s in fst.finals if s in keep),
-        inputs=fst.inputs,
-        outputs=fst.outputs,
     )
 
 
@@ -241,12 +240,10 @@ def _canonical(fst: Fst) -> Fst:
         initial=name[fst.initial],
         transitions=frozenset((name[s], i, o, name[d]) for (s, i, o, d) in fst.transitions),
         finals=frozenset(name[s] for s in fst.finals),
-        inputs=fst.inputs,
-        outputs=fst.outputs,
     )
 
 
-def _explore(start, moves, max_states: int, what: str, stop=None):
+def _explore(start, moves, what: str, stop=None):
     """Breadth-first walk from start, numbering nodes in discovery order.
 
     moves(node) yields (label, target node) pairs. Returns (order, edges):
@@ -254,7 +251,7 @@ def _explore(start, moves, max_states: int, what: str, stop=None):
     pairs in the order moves gave them. If stop(node) holds for a node
     as it is taken up, the walk ends there, before expanding it; that
     node is order[len(edges)]. A walk that would number more than
-    max_states nodes raises ResourceLimitError naming `what`.
+    MAX_STATES nodes raises ResourceLimitError naming `what`.
     """
     index = {start: 0}
     order = [start]
@@ -266,8 +263,8 @@ def _explore(start, moves, max_states: int, what: str, stop=None):
         for label, tgt in moves(node):
             k = index.get(tgt)
             if k is None:
-                if len(order) >= max_states:
-                    raise ResourceLimitError(f"{what} exceeded the {max_states}-state bound")
+                if len(order) >= MAX_STATES:
+                    raise ResourceLimitError(f"{what} exceeded the {MAX_STATES}-state bound")
                 k = index[tgt] = len(order)
                 order.append(tgt)
             out.append((label, k))
@@ -275,7 +272,7 @@ def _explore(start, moves, max_states: int, what: str, stop=None):
     return order, edges
 
 
-def remove_silent(edges, finals, inputs=frozenset(), outputs=frozenset()) -> Fst:
+def remove_silent(edges, finals) -> Fst:
     """The trimmed, canonically named machine of a numbered graph.
 
     Node 0 is initial; edges[k] lists node k's (label, target) pairs,
@@ -301,11 +298,11 @@ def remove_silent(edges, finals, inputs=frozenset(), outputs=frozenset()) -> Fst
             for label, t in edges[m]:
                 if label is not None:
                     transitions.add((names[k], label[0], label[1], names[t]))
-    raw = Fst(tuple(names), "0", frozenset(transitions), frozenset(final), inputs, outputs)
+    raw = Fst(tuple(names), "0", frozenset(transitions), frozenset(final))
     return _canonical(trim(raw))
 
 
-def compose(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
+def compose(a: Fst, b: Fst) -> Fst:
     """Pipeline composition: a's output feeds b's input.
 
     A product step pairs an explicit step of a with an explicit step of b
@@ -329,12 +326,12 @@ def compose(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
                 # a emits the empty message with its implicit stay
                 yield (EPS, o), (p, q2)
 
-    order, edges = _explore((a.initial, b.initial), moves, max_states, "composition")
+    order, edges = _explore((a.initial, b.initial), moves, "composition")
     finals = {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals}
-    return remove_silent(edges, finals, a.inputs, b.outputs)
+    return remove_silent(edges, finals)
 
 
-def intersect(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
+def intersect(a: Fst, b: Fst) -> Fst:
     """Product acceptor over identical pair letters; L = L(a) and L(b)."""
 
     def moves(node):
@@ -346,12 +343,12 @@ def intersect(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Fst:
             for q2 in moves_b.get((i, o), ()):
                 yield (i, o), (p2, q2)
 
-    order, edges = _explore((a.initial, b.initial), moves, max_states, "intersection")
+    order, edges = _explore((a.initial, b.initial), moves, "intersection")
     finals = {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals}
-    return remove_silent(edges, finals, a.inputs | b.inputs, a.outputs | b.outputs)
+    return remove_silent(edges, finals)
 
 
-def _determinize(fst: Fst, max_states: int = MAX_STATES):
+def _determinize(fst: Fst):
     """Partial subset construction over pair letters.
 
     Returns (dtrans, finals): dtrans[k] maps letter -> state index, state 0
@@ -363,12 +360,12 @@ def _determinize(fst: Fst, max_states: int = MAX_STATES):
         succ = _successors(fst, sub)
         return [(letter, frozenset(succ[letter])) for letter in sorted(succ)]
 
-    order, edges = _explore(frozenset([fst.initial]), moves, max_states, "determinization")
+    order, edges = _explore(frozenset([fst.initial]), moves, "determinization")
     finals = {k for k, sub in enumerate(order) if sub & fst.finals}
     return [dict(out) for out in edges], finals
 
 
-def minimize(fst: Fst, max_states: int = MAX_STATES) -> Fst:
+def minimize(fst: Fst) -> Fst:
     """Minimal deterministic pair-alphabet acceptor for L(fst).
 
     Subset construction followed by partition refinement; the result is
@@ -377,8 +374,8 @@ def minimize(fst: Fst, max_states: int = MAX_STATES) -> Fst:
     """
     t = trim(fst)
     if not t.finals:
-        return Fst(("0",), "0", frozenset(), frozenset(), t.inputs, t.outputs)
-    dtrans, dfinals = _determinize(t, max_states)
+        return Fst(("0",), "0", frozenset(), frozenset())
+    dtrans, dfinals = _determinize(t)
     letters = sorted({l for row in dtrans for l in row})
     n = len(dtrans)
     sink = n
@@ -400,11 +397,11 @@ def minimize(fst: Fst, max_states: int = MAX_STATES) -> Fst:
         for li, l in enumerate(letters):
             transitions.add((str(cls[k]), l[0], l[1], str(cls[total[k][li]])))
     finals = frozenset(str(cls[k]) for k in dfinals)
-    raw = Fst(states, str(cls[0]), frozenset(transitions), finals, t.inputs, t.outputs)
+    raw = Fst(states, str(cls[0]), frozenset(transitions), finals)
     return _canonical(trim(raw))
 
 
-def counterexample(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Word | None:
+def counterexample(a: Fst, b: Fst) -> Word | None:
     """Shortest word accepted by exactly one of the two machines, or None.
 
     BFS over the product of the two determinized partial acceptors, with
@@ -412,8 +409,8 @@ def counterexample(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Word | None:
     first node where they differ. The witness follows the edge that first
     reached each node on its way.
     """
-    da, fa = _determinize(trim(a), max_states)
-    db, fb = _determinize(trim(b), max_states)
+    da, fa = _determinize(trim(a))
+    db, fb = _determinize(trim(b))
     letters = sorted(
         {l for row in da for l in row} | {l for row in db for l in row}
     )
@@ -429,7 +426,7 @@ def counterexample(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Word | None:
     def differ(node):
         return (node[0] in fa) != (node[1] in fb)
 
-    order, edges = _explore((0, 0), moves, max_states, "equivalence check", differ)
+    order, edges = _explore((0, 0), moves, "equivalence check", differ)
     k = len(edges)
     if k == len(order):
         return None
@@ -444,21 +441,21 @@ def counterexample(a: Fst, b: Fst, max_states: int = MAX_STATES) -> Word | None:
     return tuple(reversed(w))
 
 
-def equivalent(a: Fst, b: Fst, max_states: int = MAX_STATES) -> bool:
+def equivalent(a: Fst, b: Fst) -> bool:
     """True iff L(a) = L(b) as pair-letter languages."""
-    return counterexample(a, b, max_states) is None
+    return counterexample(a, b) is None
 
 
-def language_upto(fst: Fst, n: int, max_words: int = MAX_WORDS) -> set[Word]:
-    """Exactly the accepted words of length at most n (pair letters)."""
+def language_upto(fst: Fst, n: int) -> set[Word]:
+    """Exactly the accepted words of length at most n; keeping over MAX_WORDS raises."""
     result: set[Word] = set()
     frontier: dict[Word, frozenset[str]] = {(): frozenset([fst.initial])}
     for length in range(n + 1):
         for w, cur in frontier.items():
             if cur & fst.finals:
                 result.add(w)
-        if len(result) > max_words:
-            raise ResourceLimitError(f"language enumeration exceeded {max_words} words")
+        if len(result) > MAX_WORDS:
+            raise ResourceLimitError(f"language enumeration exceeded {MAX_WORDS} words")
         if length == n:
             break
         nxt: dict[Word, set[str]] = {}
@@ -466,12 +463,12 @@ def language_upto(fst: Fst, n: int, max_words: int = MAX_WORDS) -> set[Word]:
             for letter, tgts in _successors(fst, cur).items():
                 nxt.setdefault(w + (letter,), set()).update(tgts)
         frontier = {w: frozenset(s) for w, s in nxt.items()}
-        if len(frontier) > max_words:
-            raise ResourceLimitError(f"language enumeration exceeded {max_words} words")
+        if len(frontier) > MAX_WORDS:
+            raise ResourceLimitError(f"language enumeration exceeded {MAX_WORDS} words")
     return result
 
 
-def is_prefix_closed(fst: Fst, max_states: int = MAX_STATES) -> bool:
+def is_prefix_closed(fst: Fst) -> bool:
     """True iff every prefix of every accepted word is accepted.
 
     Decided on the trimmed, determinized acceptor: prefix-closed iff every
@@ -481,7 +478,7 @@ def is_prefix_closed(fst: Fst, max_states: int = MAX_STATES) -> bool:
     t = trim(fst)
     if not t.finals:
         return True
-    dtrans, finals = _determinize(t, max_states)
+    dtrans, finals = _determinize(t)
     return all(k in finals for k in range(len(dtrans)))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .fst import SampleSet, Letter, Word
+from .fst import SampleSet, Letter, Word, shortlex
 
 TOL_RANK = 1e-9
 TOL_BINARY = 1e-6
@@ -33,10 +33,6 @@ _RESIDUAL_TOL = 1e-8
 
 # Bound on find_basis's block, distinct rows x distinct columns.
 MAX_BLOCK_CELLS = 10**7
-
-
-def _shortlex(words) -> list[Word]:
-    return sorted(words, key=lambda w: (len(w), w))
 
 
 @dataclass(frozen=True)
@@ -102,11 +98,16 @@ def build_hankel_set(d: SampleSet, m: Mask) -> HankelSet:
     )
 
 
+def singular_value_rank(sv: np.ndarray) -> int:
+    """How many of the descending singular values sv exceed TOL_RANK * max(sv[0], 1)."""
+    top = sv[0] if sv.size else 0.0
+    return int(np.sum(sv > TOL_RANK * max(top, 1.0)))
+
+
 def numeric_rank(mat: np.ndarray) -> int:
     if mat.size == 0:
         return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > TOL_RANK * max(sv[0], 1.0)))
+    return singular_value_rank(np.linalg.svd(mat, compute_uv=False))
 
 
 def default_mask_len(d: SampleSet) -> int:
@@ -118,7 +119,7 @@ def default_mask_len(d: SampleSet) -> int:
 def _first_of_each(words, key) -> list[Word]:
     """The shortlex-first word of each distinct key(word), in shortlex order."""
     first: dict = {}
-    for w in _shortlex(words):
+    for w in shortlex(words):
         first.setdefault(key(w), w)
     return list(first.values())
 

@@ -24,7 +24,6 @@ from .formats import letter_to_text
 from .fst import EPS, Fst, Letter, SampleSet, Word, trim
 from .hankel import (
     TOL_BINARY,
-    TOL_RANK,
     HankelSet,
     Mask,
     build_hankel_set,
@@ -32,6 +31,7 @@ from .hankel import (
     default_mask_len,
     find_basis,
     numeric_rank,
+    singular_value_rank,
 )
 
 
@@ -116,8 +116,7 @@ class LearnResult:
 def full_rank_decompose(h_theta: np.ndarray) -> Decomposition:
     """Truncated-SVD rank factorization P = U_r Sigma_r, S = V_r^T."""
     u, sv, vt = np.linalg.svd(h_theta)
-    top = sv[0] if sv.size else 0.0
-    r = int(np.sum(sv > TOL_RANK * max(top, 1.0)))
+    r = singular_value_rank(sv)
     if r == 0:
         raise DegenerateRankError("decompose", "Hankel block has numeric rank 0; nothing to learn")
     return Decomposition(

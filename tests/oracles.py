@@ -189,7 +189,7 @@ def ref_sampleset_from_text(text: str) -> SampleSet:
         if comment and not content.strip():
             continue  # comment-only line, not an empty word
         words.append(_ref_word_from_text(content))  # a blank line is the empty word
-    return SampleSet(words, ())
+    return SampleSet(words)
 
 
 # Ground-truth generators for the learning suite. The spectral method

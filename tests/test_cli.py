@@ -390,6 +390,48 @@ class TestDiagnostics:
         assert "Traceback" not in err
         assert not (tmp_path / "x.fst").exists()
 
+    @pytest.mark.parametrize(
+        "content, problem",
+        [(b"a1:a3\na1 a1:a2\n", "bad letter 'a1': expected in:out"),
+         (b"a1:a3\n\xff\n", "not UTF-8 text (bad byte at offset 6)")],
+        ids=["bad-letter", "not-utf8"],
+    )
+    def test_bad_dataset_is_named_once(self, content, problem, tmp_path, capsys):
+        bad = tmp_path / "actuator.txt"
+        bad.write_bytes(content)
+        argv = ["pipeline", "--sensor-data", SENSOR_DATA, "--actuator-data", str(bad),
+                "--plant", PLANT, "--mk", MK]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
+
+    def test_bad_machine_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.fst"
+        bad.write_text("fst v1\ninitial 0\ntrans 0 a\n")
+        assert main(["equiv", ATTACKER, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 3: expected 'trans src in out dst'\n"
+
+    def test_mk_that_is_not_a_pattern_names_the_missing_file(self, tmp_path, capsys):
+        typo = str(DEMO / "mkk.fst")
+        argv = ["verify", "--plant", PLANT, "--supervisor", PLANT, "--sensor-attacker", SENSOR,
+                "--actuator-attacker", ATTACKER, "--mk", typo]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert typo in err and "pattern" not in err and "Traceback" not in err
+
+    def test_mk_starting_with_a_parenthesis_is_a_pattern(
+        self, tmp_path, monkeypatch, capsys, golden_supervisor_file
+    ):
+        # Even after leading blanks, and where a file of that name exists.
+        monkeypatch.chdir(tmp_path)
+        pattern = "((a1:s2)(a2:s2))*"
+        (tmp_path / pattern).write_text("not a machine file\n")
+        sup = tmp_path / "sup.fst"
+        for mk in (pattern, " " + pattern):
+            argv = ["synth", "--mk", mk, "--sensor-attacker", SENSOR,
+                    "--actuator-attacker", ATTACKER, "--out", str(sup)]
+            assert main(argv) == 0
+            assert main(["equiv", str(sup), golden_supervisor_file]) == 0
+
     def test_state_bound_exits_three(self, tmp_path, capsys):
         # A ring one state past the bound: determinizing it needs every state.
         n = MAX_STATES + 1
@@ -409,6 +451,15 @@ class TestDiagnostics:
         assert main(["learn", "--data", ATTACKER_DATA, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err == "error: Hankel block of 2 distinct rows x 3 distinct columns exceeds the 5-cell bound\n"
+        assert not out.exists()
+
+    def test_word_bound_exits_three(self, monkeypatch, tmp_path, capsys):
+        # The demo attacker has 9 words of length at most 3.
+        monkeypatch.setattr(fstlearn.fst, "MAX_WORDS", 8)
+        out = tmp_path / "sampled.txt"
+        argv = ["sample", "--attacker", ATTACKER, "--mode", "exhaustive", "--max-len", "3", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: language enumeration exceeded 8 words\n"
         assert not out.exists()
 
     def test_unexpected_exception_exits_four_with_its_traceback(self, monkeypatch, capsys):

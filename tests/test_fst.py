@@ -21,6 +21,7 @@ from fstlearn import (
     compose,
     counterexample,
     equivalent,
+    fst_from_text,
     fst_to_text,
     identity_fst,
     intersect,
@@ -148,7 +149,6 @@ class TestConstruction:
                 initial="0",
                 transitions=frozenset({("0", "c d", "u", "0"), ("0", "x", "a b", "0")}),
                 finals=frozenset(),
-                inputs=frozenset({"e f"}),
             )
 
 
@@ -170,6 +170,19 @@ class TestSampleSet:
         with pytest.raises(FormatError, match="'b c'"):
             SampleSet.from_words(words[:2])
 
+    def test_letter_with_a_symbol_that_is_not_a_string_rejected(self):
+        with pytest.raises(FormatError, match=re.escape("bad letter (1, 2)")):
+            SampleSet.from_words([[(1, 2)]])
+        # Rejected before the alphabet is sorted, where str and int do not compare.
+        with pytest.raises(FormatError, match=re.escape("bad letter (1, 'c')")):
+            SampleSet.from_words([[("a", "b"), (1, "c")]])
+
+    def test_first_letter_with_a_non_string_symbol_by_repr_is_reported(self):
+        # Independent of set iteration order, hence of PYTHONHASHSEED.
+        words = [[("y", 1), ("x", "u")], [("b", 2.0), ("a", None)]]
+        with pytest.raises(FormatError, match=re.escape("bad letter ('a', None)")):
+            SampleSet.from_words(words)
+
     def test_each_distinct_letter_is_checked_once(self, monkeypatch):
         checked = []
         monkeypatch.setattr(fst_module, "_check_symbol", checked.append)
@@ -184,7 +197,7 @@ class TestSampleSet:
         assert SampleSet.from_words([[list(l) for l in w] for w in words]) == expected
         assert SampleSet.from_words(w for w in words) == expected
         assert SampleSet.from_words(tuple(words)) == expected
-        assert SampleSet(words, ()) == expected
+        assert SampleSet(words) == expected
 
     def test_alphabet_is_sorted_and_distinct(self):
         d = SampleSet.from_words([(("y", "v"), ("x", "u")), (("x", "u"), (EPS, "u")), (("y", EPS),)])
@@ -298,7 +311,8 @@ class TestCompose:
         )
         assert set(language_upto(compose(a, b), 2)) == {(("x", "u"),)}
 
-    def test_state_guard_trips(self):
+    def test_state_guard_trips(self, monkeypatch):
+        monkeypatch.setattr(fst_module, "MAX_STATES", 2)
         cycle = Fst(
             states=("0", "1", "2"),
             initial="0",
@@ -306,7 +320,7 @@ class TestCompose:
             finals=frozenset({"0", "1", "2"}),
         )
         with pytest.raises(ResourceLimitError):
-            compose(identity_fst(("x", "y")), cycle, max_states=2)
+            compose(identity_fst(("x", "y")), cycle)
 
 
 class TestIntersect:
@@ -316,6 +330,15 @@ class TestIntersect:
         c = intersect(a, b)
         assert_well_formed(c)
         assert ref_language_upto(c, 3) == ref_language_upto(a, 3) & ref_language_upto(b, 3)
+
+    def test_result_equals_its_text_round_trip(self):
+        # A machine is its states, initial, transitions and finals: the
+        # symbols only a's dropped step used leave no trace in the result.
+        a = _machine({("0", "x", "u", "1"), ("0", "y", "v", "1")}, {"1"})
+        b = _machine({("0", "x", "u", "1")}, {"1"})
+        c = intersect(a, b)
+        assert c == b
+        assert c == fst_from_text(fst_to_text(c))
 
 
 class TestMinimize:
@@ -402,6 +425,13 @@ class TestBoundedLanguage:
             (("a3", "a1"), ("a1", "a2")),
             (("a1", "a3"), ("a1", "a2")),
         }
+
+    def test_word_bound_admits_exactly_the_words_kept(self, monkeypatch, demo_attacker):
+        monkeypatch.setattr(fst_module, "MAX_WORDS", 5)
+        assert len(language_upto(demo_attacker, 2)) == 5
+        monkeypatch.setattr(fst_module, "MAX_WORDS", 4)
+        with pytest.raises(ResourceLimitError, match="^language enumeration exceeded 4 words$"):
+            language_upto(demo_attacker, 2)
 
 
 class TestPrefixClosed:
@@ -514,22 +544,25 @@ class TestStateBound:
     @pytest.mark.parametrize(
         "build, needed, what",
         [
-            (lambda bound: compose(_ring(3), _ring(4), bound), 12, "composition"),
-            (lambda bound: intersect(_ring(3), _ring(4), bound), 12, "intersection"),
-            (lambda bound: minimize(_ring(5), bound), 5, "determinization"),
-            (lambda bound: is_prefix_closed(_ring(5), bound), 5, "determinization"),
-            (lambda bound: counterexample(_ring(3), _ring(4), bound), 12, "equivalence check"),
+            (lambda: compose(_ring(3), _ring(4)), 12, "composition"),
+            (lambda: intersect(_ring(3), _ring(4)), 12, "intersection"),
+            (lambda: minimize(_ring(5)), 5, "determinization"),
+            (lambda: is_prefix_closed(_ring(5)), 5, "determinization"),
+            (lambda: counterexample(_ring(3), _ring(4)), 12, "equivalence check"),
         ],
         ids=["compose", "intersect", "minimize", "is_prefix_closed", "counterexample"],
     )
-    def test_bound_admits_exactly_the_nodes_needed(self, build, needed, what):
-        build(needed)
+    def test_bound_admits_exactly_the_nodes_needed(self, monkeypatch, build, needed, what):
+        monkeypatch.setattr(fst_module, "MAX_STATES", needed)
+        build()
+        monkeypatch.setattr(fst_module, "MAX_STATES", needed - 1)
         with pytest.raises(ResourceLimitError, match=f"^{what} exceeded the {needed - 1}-state bound$"):
-            build(needed - 1)
+            build()
 
-    def test_counterexample_stops_at_the_first_difference(self):
+    def test_counterexample_stops_at_the_first_difference(self, monkeypatch):
         # The product of these rings is one cycle of 10 100 nodes, but they
         # first differ at a^100, the 101st node the walk numbers.
         a, b = _ring(100, {"0"}), _ring(101, {"0"})
         assert counterexample(a, b) == (("a", "a"),) * 100
-        assert counterexample(a, b, 101) == (("a", "a"),) * 100
+        monkeypatch.setattr(fst_module, "MAX_STATES", 101)
+        assert counterexample(a, b) == (("a", "a"),) * 100

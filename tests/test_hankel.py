@@ -262,14 +262,14 @@ class TestCheckClosed:
         # With only the one-letter word in the sample, the empty word is
         # missing, so h_theta is all-zero while h_chi1 is not: the shifted
         # block cannot lie in the row space and the check must say no.
-        d = SampleSet([(CHI1,)], ())
+        d = SampleSet([(CHI1,)])
         hz = build_hankel_set(d, Mask(prefixes=((),), suffixes=((),)))
         assert np.array_equal(hz.h_theta, np.zeros((1, 1)))
         assert np.array_equal(hz.h_chi[CHI1], np.ones((1, 1)))
         assert not check_closed(hz)
 
     def test_trivially_closed_single_cell(self):
-        d = SampleSet([(), (CHI1,)], ())
+        d = SampleSet([(), (CHI1,)])
         hz = build_hankel_set(d, Mask(prefixes=((),), suffixes=((),)))
         assert check_closed(hz)
 
