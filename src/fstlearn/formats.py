@@ -145,13 +145,16 @@ def sampleset_to_text(d: SampleSet) -> str:
 
 
 def sampleset_from_text(text: str) -> SampleSet:
-    """Each distinct token is parsed once; a bad one raises at its first use."""
+    """Each distinct token is parsed once; a bad one raises at its first use, naming its line."""
     letters, words = {}, []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         content, comment, _ = raw.partition("#")
         if comment and not content.strip():
             continue  # comment-only line, not an empty word
-        words.append(_word_from_text(content, letters))  # a blank line is the empty word
+        try:
+            words.append(_word_from_text(content, letters))  # a blank line is the empty word
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
     return SampleSet(words)
 
 

@@ -7,12 +7,12 @@ induces the binary matrices
     H_Theta(psi, gamma) = 1  iff  psi gamma in D
     H_chi(psi, gamma)   = 1  iff  psi chi gamma in D   (one per letter chi)
 
-find_basis greedily grows a mask until its H_Theta reaches the rank of
-the full candidate Hankel block, which for exhaustively sampled
-deterministic ground truth equals the minimal state count; it works on
-that block's distinct nonzero rows and columns only. check_closed
-tests that every H_chi row lies in the row space of H_Theta; when it
-fails, the data or the mask is too small to support learning.
+find_basis grows a mask by Gaussian elimination until its H_Theta reaches
+the rank of the full candidate Hankel block, which for exhaustively
+sampled deterministic ground truth equals the minimal state count; it
+works on that block's distinct nonzero rows and columns only.
+check_closed tests that the H_chi rows do not raise the rank of H_Theta;
+when they do, the data or the mask is too small to support learning.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from .fst import SampleSet, Letter, Word, shortlex
 
 TOL_RANK = 1e-9
 TOL_BINARY = 1e-6
-
-# Residual threshold for the greedy span tests in find_basis. Entries are
-# 0/1 and masks stay tiny, so true nonzero residuals are far above this.
-_RESIDUAL_TOL = 1e-8
 
 # Bound on find_basis's block, distinct rows x distinct columns.
 MAX_BLOCK_CELLS = 10**7
@@ -125,16 +121,18 @@ def _first_of_each(words, key) -> list[Word]:
 
 
 def find_basis(d: SampleSet, max_len: int) -> Mask:
-    """Greedy rank-maximizing mask over prefixes/suffixes of D.
+    """Rank-maximizing mask over prefixes/suffixes of D.
 
     Candidates are the halves of the in-range splits w = psi gamma of
     words in D (max(0, |w| - max_len) <= |psi| <= min(|w|, max_len)),
     cut down to the shortlex-first of each distinct nonzero row, then
-    column; eps leads both. Starting from ([eps],[eps]) the loop admits
-    the first candidate row, column, or row/column pair that strictly
-    raises the rank of H_Theta, until the block's rank is reached.
+    column; eps leads both. Starting from ([eps],[eps]), Gaussian
+    elimination on that block pivots on the first nonzero entry down the
+    eps column, then along the eps row, then in row-major order, adding
+    each pivot's row and column to the mask if new, until none is left
+    (then the mask's H_Theta has the block's rank).
     Deterministic for a fixed D. The cut keeps the full block's mask: a
-    zero line never gains or mismatches, a repeat acts as its first twin.
+    zero line never holds a pivot, a repeat acts as its first twin.
     Raises ResourceLimitError before allocating over MAX_BLOCK_CELLS cells.
     """
     after: dict[Word, set[Word]] = {(): set()}  # prefix -> the suffixes completing it in D
@@ -156,54 +154,24 @@ def find_basis(d: SampleSet, max_len: int) -> Mask:
     for j, s in enumerate(scand):
         h[rows_of[s], j] = 1.0
 
-    target = numeric_rank(h)
-    rows, cols = [0], [0]
+    # Eliminate in place: h becomes the Schur complement of the chosen block.
+    rows, cols = {0: None}, {0: None}  # ordered sets of block indices
     while True:
-        m = h[np.ix_(rows, cols)]
-        if numeric_rank(m) >= target:
-            break
-        m_pinv = np.linalg.pinv(m)
+        # Pivot on the first entry left down the eps column, the eps row, then row-major.
+        for part in (h[:, :1], h[:1], h):
+            hits = np.argwhere(np.abs(part) > TOL_BINARY)
+            if len(hits):
+                break
+        else:
+            break  # nothing left: the chosen block has the block's rank
+        i, j = map(int, hits[0])
+        rows.setdefault(i)
+        cols.setdefault(j)
+        h -= np.outer(h[:, j], h[i] / h[i, j])
 
-        # Candidate row outside the current row space.
-        r_all = h[:, cols]
-        gain = np.max(np.abs(r_all - r_all @ m_pinv @ m), axis=1) > _RESIDUAL_TOL
-        new_rows = [i for i in np.flatnonzero(gain) if i not in rows]
-        if new_rows:
-            rows.append(int(new_rows[0]))
-            continue
-
-        # Candidate column outside the current column space.
-        c_all = h[rows, :]
-        gain = np.max(np.abs(c_all - m @ m_pinv @ c_all), axis=0) > _RESIDUAL_TOL
-        new_cols = [j for j in np.flatnonzero(gain) if j not in cols]
-        if new_cols:
-            cols.append(int(new_cols[0]))
-            continue
-
-        # Every single row/column is spanned, so a joint addition raises
-        # the rank exactly where the Schur-style prediction
-        # h[p, cols] m+ h[rows, s] disagrees with the actual entry.
-        pred = r_all @ m_pinv @ c_all
-        mismatch = np.abs(pred - h) > TOL_BINARY
-        mismatch[rows, :] = False
-        mismatch[:, cols] = False
-        hits = np.argwhere(mismatch)
-        if len(hits) == 0:
-            break
-        rows.append(int(hits[0][0]))
-        cols.append(int(hits[0][1]))
-
-    return Mask(
-        prefixes=tuple(pcand[i] for i in rows),
-        suffixes=tuple(scand[j] for j in cols),
-    )
+    return Mask(tuple(pcand[i] for i in rows), tuple(scand[j] for j in cols))
 
 
 def check_closed(hz: HankelSet) -> bool:
-    """True iff every H_chi row lies in the row space of H_Theta."""
-    ht = hz.h_theta
-    row_proj = np.linalg.pinv(ht) @ ht
-    for hc in hz.h_chi.values():
-        if np.max(np.abs(hc - hc @ row_proj), initial=0.0) > TOL_BINARY:
-            return False
-    return True
+    """True iff the H_chi rows lie in the row space of H_Theta, i.e. do not raise its rank."""
+    return numeric_rank(np.vstack([hz.h_theta, *hz.h_chi.values()])) == numeric_rank(hz.h_theta)

@@ -15,7 +15,6 @@ All steps are deterministic: no randomness, ties broken by row order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -172,16 +171,19 @@ def extract_tuple(hz: HankelSet, d: Decomposition) -> TransitionTuple:
     )
 
 
-def is_natural(t: TransitionTuple) -> bool:
-    t0 = _snap_binary(t.t0)
-    t_inf = _snap_binary(t.t_inf)
+def _natural_parts(t: TransitionTuple) -> tuple[np.ndarray, np.ndarray, dict] | None:
+    """(t0, t_inf, trans) snapped to {0,1}, or None when t is not natural."""
+    t0, t_inf = _snap_binary(t.t0), _snap_binary(t.t_inf)
     if t0 is None or t_inf is None or t0.sum() != 1.0:
-        return False
-    for mat in t.trans.values():
-        snapped = _snap_binary(mat)
-        if snapped is None or not _rows_unit_or_zero(snapped):
-            return False
-    return True
+        return None
+    trans = {chi: _snap_binary(mat) for chi, mat in t.trans.items()}
+    if any(mat is None or not _rows_unit_or_zero(mat) for mat in trans.values()):
+        return None
+    return t0, t_inf, trans
+
+
+def is_natural(t: TransitionTuple) -> bool:
+    return _natural_parts(t) is not None
 
 
 def eval_tuple(t: TransitionTuple, w: Word) -> float:
@@ -194,26 +196,22 @@ def eval_tuple(t: TransitionTuple, w: Word) -> float:
     return float(vec @ t.t_inf)
 
 
-def tuple_to_fst(t: TransitionTuple, alphabet: Sequence[Letter] | None = None) -> Fst:
+def tuple_to_fst(t: TransitionTuple) -> Fst:
     """Read the FST graph off a natural tuple: arcs where T_chi is 1.
 
     State names are the tuple coordinates, preserved so callers can line
     states up with rows of the natural decomposition. The result is
     trimmed but not renamed.
     """
-    if not is_natural(t):
+    parts = _natural_parts(t)
+    if parts is None:
         raise NaturalityError("naturality", "transition tuple is not natural; no FST to read off")
-    letters = tuple(alphabet) if alphabet is not None else tuple(sorted(t.trans))
-    missing = [chi for chi in letters if chi not in t.trans]
-    if missing:
-        raise ValueError(f"letters {missing!r} are not in the tuple's alphabet")
-    t0 = _snap_binary(t.t0)
-    t_inf = _snap_binary(t.t_inf)
-    transitions = set()
-    for chi in letters:
-        mat = _snap_binary(t.trans[chi])
-        for src, dst in np.argwhere(mat == 1.0):
-            transitions.add((str(int(src)), chi[0], chi[1], str(int(dst))))
+    t0, t_inf, trans = parts
+    transitions = {
+        (str(int(src)), chi[0], chi[1], str(int(dst)))
+        for chi, mat in trans.items()
+        for src, dst in np.argwhere(mat == 1.0)
+    }
     machine = Fst(
         states=tuple(str(k) for k in range(t.r)),
         initial=str(int(np.argmax(t0))),
@@ -243,7 +241,7 @@ def learn_pipeline(d: SampleSet, max_mask_len: int | None = None) -> LearnResult
     raw = full_rank_decompose(hz.h_theta)
     natural, b = naturalize(raw)
     tup = extract_tuple(hz, natural)
-    fst = tuple_to_fst(tup, d.alphabet)
+    fst = tuple_to_fst(tup)
     # A recorded letter that no arc carries makes some recording rejected.
     carried = fst.letters()
     lost = next((chi for chi in d.alphabet if chi not in carried), None)

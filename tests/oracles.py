@@ -14,9 +14,10 @@ from itertools import product
 
 import numpy as np
 
+from fstlearn.errors import FormatError
 from fstlearn.formats import letter_from_text
 from fstlearn.fst import EMPTY_TOKEN, EPS, Fst, SampleSet, language_upto, minimize, trim
-from fstlearn.hankel import TOL_BINARY, Mask, numeric_rank
+from fstlearn.hankel import TOL_BINARY, HankelSet, Mask, numeric_rank
 
 
 def ref_accepts(fst: Fst, word) -> bool:
@@ -92,7 +93,7 @@ def full_candidate_rank(words: set, max_len: int) -> int:
     return int(np.linalg.matrix_rank(h))
 
 
-# Residual threshold of the greedy span tests, as in fstlearn.hankel.
+# Residual threshold of the greedy span tests, as in the previous fstlearn.hankel.
 _RESIDUAL_TOL = 1e-8
 
 
@@ -174,6 +175,19 @@ def ref_find_basis(d: SampleSet, max_len: int) -> Mask:
     )
 
 
+def ref_check_closed(hz: HankelSet) -> bool:
+    """check_closed by a pinv projector onto the row space of H_Theta.
+
+    True iff every H_chi row lies in the row space of H_Theta.
+    """
+    ht = hz.h_theta
+    row_proj = np.linalg.pinv(ht) @ ht
+    for hc in hz.h_chi.values():
+        if np.max(np.abs(hc - hc @ row_proj), initial=0.0) > TOL_BINARY:
+            return False
+    return True
+
+
 def _ref_word_from_text(text: str):
     text = text.strip()
     if not text or text == EMPTY_TOKEN:
@@ -184,11 +198,14 @@ def _ref_word_from_text(text: str):
 def ref_sampleset_from_text(text: str) -> SampleSet:
     """Dataset parsing that parses every token occurrence afresh (no memo)."""
     words = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         content, comment, _ = raw.partition("#")
         if comment and not content.strip():
             continue  # comment-only line, not an empty word
-        words.append(_ref_word_from_text(content))  # a blank line is the empty word
+        try:
+            words.append(_ref_word_from_text(content))  # a blank line is the empty word
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
     return SampleSet(words)
 
 

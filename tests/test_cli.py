@@ -392,7 +392,7 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize(
         "content, problem",
-        [(b"a1:a3\na1 a1:a2\n", "bad letter 'a1': expected in:out"),
+        [(b"a1:a3\na1 a1:a2\n", "line 2: bad letter 'a1': expected in:out"),
          (b"a1:a3\n\xff\n", "not UTF-8 text (bad byte at offset 6)")],
         ids=["bad-letter", "not-utf8"],
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fstlearn.hankel
@@ -42,10 +42,14 @@ from oracles import (
     PAIR_LETTERS,
     default_mask_len,
     full_candidate_rank,
+    ref_check_closed,
     ref_find_basis,
     ref_hankel,
     spectral_ground_truth,
 )
+
+
+XU, YV = ("x", "u"), ("y", "v")
 
 
 def words_strategy(max_words: int = 6, max_len: int = 3):
@@ -221,6 +225,13 @@ class TestFindBasisAgainstFullBlock:
         prefix_closed=st.booleans(),
         drop_empty_word=st.booleans(),
     )
+    # The three ways the elimination starts (at max_len 1): eps in D
+    # pivots on (eps, eps); without eps, a word no longer than max_len
+    # pivots down the eps column, then along the eps row; with no such
+    # word the eps row and column stay empty.
+    @example(words={(), (XU,), (XU, YV)}, prefix_closed=False, drop_empty_word=False)
+    @example(words={(XU,), (XU, YV)}, prefix_closed=False, drop_empty_word=False)
+    @example(words={(XU, YV)}, prefix_closed=False, drop_empty_word=False)
     @settings(max_examples=150, deadline=None)
     def test_same_mask_as_the_full_candidate_block(self, words, prefix_closed, drop_empty_word):
         if prefix_closed:
@@ -277,6 +288,18 @@ class TestCheckClosed:
         for prefixes in (((), (CHI1,)), ((), (CHI1,), (CHI2,))):
             mask = Mask(prefixes=prefixes, suffixes=GOLDEN_MASK.suffixes)
             assert check_closed(build_hankel_set(demo_dataset, mask))
+
+    @given(words=words_strategy(max_words=8, max_len=5), max_len=st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_same_verdict_as_the_pinv_projector(self, words, max_len):
+        # On the found mask and on that mask with its prefixes halved, so
+        # that not-closed cases come up too (about a quarter of them).
+        d = SampleSet.from_words(words)
+        found = find_basis(d, max_len)
+        halved = Mask(found.prefixes[: max(1, len(found.prefixes) // 2)], found.suffixes)
+        for mask in (found, halved):
+            hz = build_hankel_set(d, mask)
+            assert check_closed(hz) == ref_check_closed(hz)
 
 
 class TestRankDeficientMachine:

@@ -262,13 +262,6 @@ class TestTupleToFst:
         with pytest.raises(NaturalityError):
             tuple_to_fst(tup)
 
-    def test_alphabet_must_cover_requested_letters(self, demo_dataset):
-        hz = golden_hankel_set(demo_dataset)
-        nat, _ = naturalize(full_rank_decompose(hz.h_theta))
-        tup = extract_tuple(hz, nat)
-        with pytest.raises(ValueError):
-            tuple_to_fst(tup, alphabet=(CHI1, ("zz", "zz")))
-
     @pytest.mark.parametrize("seed", range(10))
     def test_round_trip_from_hand_built_natural_tuples(self, seed):
         machine = random_attacker(random.Random(seed))
