@@ -77,17 +77,13 @@ def pipeline(
     actuator_data_path: str,
     plant: Fst,
     m_k: Fst,
-    max_mask_len: int | None = None,
     dump_dir: str | None = None,
 ) -> SynthesisResult:
     """Learn both channel attackers, synthesize, and verify."""
     results: dict[str, LearnResult] = {}
     for channel, path in (("sensor", sensor_data_path), ("actuator", actuator_data_path)):
-        d = load_dataset(path)
-        if not d.words:
-            raise AnalysisError("learn", f"{channel} dataset is empty")
         try:
-            results[channel] = learn_pipeline(d, max_mask_len)
+            results[channel] = learn_pipeline(load_dataset(path))
         except AnalysisError as exc:
             raise type(exc)(
                 exc.stage, f"learning the {channel} attacker model failed: {exc.message}"
@@ -103,10 +99,7 @@ def pipeline(
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    d = load_dataset(args.data)
-    if not d.words:
-        raise AnalysisError("learn", "dataset is empty")
-    res = learn_pipeline(d, args.max_mask_len)
+    res = learn_pipeline(load_dataset(args.data))
     if args.dump_intermediates is not None:
         _dump_learn(res, args.dump_intermediates)
     save_fst(res.fst, args.out)
@@ -170,8 +163,7 @@ def _cmd_hankel(args: argparse.Namespace) -> int:
     d = load_dataset(args.data)
     if not d.words:
         raise AnalysisError("hankel", "dataset is empty")
-    max_len = default_mask_len(d) if args.max_mask_len is None else args.max_mask_len
-    hz = build_hankel_set(d, find_basis(d, max_len))
+    hz = build_hankel_set(d, find_basis(d, default_mask_len(d)))
     psi, gamma = hz.mask.prefixes, hz.mask.suffixes
     sys.stdout.write(grid(hz.h_theta, psi, gamma, "H_theta"))
     for chi in hz.alphabet:
@@ -195,7 +187,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         args.actuator_data,
         load_fst(args.plant),
         _load_mk(args.mk),
-        max_mask_len=args.max_mask_len,
         dump_dir=args.dump_intermediates,
     )
     if result.resilient:
@@ -235,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", parents=[learning], help="learn an FST from a sample dataset")
     p.add_argument("--data", required=True, help="dataset file")
     p.add_argument("--out", required=True, help="output FST file")
-    p.add_argument("--max-mask-len", type=_count, default=None, help="mask word length bound")
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("synth", help="synthesize a candidate supervisor")
@@ -272,7 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hankel", help="print the Hankel matrices of a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--max-mask-len", type=_count, default=None)
     p.set_defaults(func=_cmd_hankel)
 
     p = sub.add_parser("equiv", help="compare the languages of two FSTs")
@@ -286,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plant", required=True)
     p.add_argument("--mk", required=True, help="desired-language FST file or pattern")
     p.add_argument("--out", default=None, help="also write the supervisor FST here")
-    p.add_argument("--max-mask-len", type=_count, default=None)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -17,6 +17,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 from .errors import FormatError, ResourceLimitError
@@ -116,14 +117,25 @@ class SampleSet:
     Every word is assumed to be a true member of the target language; the
     toolkit validates shape only, never veracity. `words` may be any iterable
     of letter sequences; each distinct letter is checked once, in sorted order.
+    A letter is an (in, out) sequence: a string or a scalar is refused.
     """
 
     words: frozenset[Word]
     alphabet: tuple[Letter, ...] = field(init=False)
 
     def __post_init__(self):
-        words = frozenset(tuple(map(tuple, w)) for w in self.words)
-        letters = {l for w in words for l in w}
+        raw = list(map(tuple, self.words))  # one pass over any iterable; a tuple is not copied
+        try:
+            words = [tuple(map(tuple, w)) for w in raw]
+        except TypeError:  # a letter that is not iterable
+            words = None
+        if words != raw:  # some letter was not a tuple: refuse a string or a scalar
+            odd = sorted({t.__name__ for t in map(type, chain.from_iterable(raw))
+                          if issubclass(t, str) or not hasattr(t, "__iter__")})
+            if odd:
+                raise FormatError(f"bad letter of type {odd[0]}: expected an (in, out) pair")
+        words = frozenset(words)
+        letters = set(chain.from_iterable(words))
         odd = [repr(l) for l in letters if not all(isinstance(sym, str) for sym in l)]
         if odd:
             raise FormatError(f"bad letter {min(odd)}: symbols must be strings")

@@ -221,22 +221,21 @@ def tuple_to_fst(t: TransitionTuple) -> Fst:
     return trim(machine)
 
 
-def learn_pipeline(d: SampleSet, max_mask_len: int | None = None) -> LearnResult:
+def learn_pipeline(d: SampleSet) -> LearnResult:
     """find_basis -> Hankel set -> closedness gate -> SVD -> naturalize -> FST -> letter gate.
 
-    max_mask_len defaults to hankel.default_mask_len(d).
+    The mask length is hankel.default_mask_len(d), the longest at which
+    every membership query stays within the recorded horizon.
     """
     if not d.words:
-        raise ValueError("cannot learn from an empty sample set")
-    if max_mask_len is None:
-        max_mask_len = default_mask_len(d)
-    mask = find_basis(d, max_mask_len)
+        raise AnalysisError("learn", "dataset is empty")
+    mask = find_basis(d, default_mask_len(d))
     hz = build_hankel_set(d, mask)
     if not check_closed(hz):
         raise ClosednessError(
             "closedness",
-            "an H_chi row leaves the row space of H_Theta: insufficient data or mask; "
-            "increase max_mask_len or collect more samples",
+            "an H_chi row leaves the row space of H_Theta: the recordings are too sparse; "
+            "record more or longer attack words",
         )
     raw = full_rank_decompose(hz.h_theta)
     natural, b = naturalize(raw)
@@ -249,10 +248,10 @@ def learn_pipeline(d: SampleSet, max_mask_len: int | None = None) -> LearnResult
         raise AnalysisError(
             "consistency",
             f"the learned model has no arc for the recorded letter {letter_to_text(lost)}, "
-            "so it rejects a recording; increase max_mask_len or collect more samples",
+            "so it rejects a recording; record more or longer attack words",
         )
     return LearnResult(sample=d, mask=mask, hankel=hz, raw=raw, b=b, natural=natural, tup=tup, fst=fst)
 
 
-def learn_fst(d: SampleSet, max_mask_len: int | None = None) -> Fst:
-    return learn_pipeline(d, max_mask_len).fst
+def learn_fst(d: SampleSet) -> Fst:
+    return learn_pipeline(d).fst

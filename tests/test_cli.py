@@ -83,10 +83,14 @@ class TestLearn:
 
 
     def test_model_without_a_recorded_letter_exits_one(self, tmp_path, capsys):
-        # Mask length 0 learns one state without a1:a2, which would reject
-        # the recording a1:a3 a1:a2.
+        # The demo recordings cut to length 2 give mask length 0, which
+        # learns one state without a1:a2; that would reject the recording
+        # a1:a3 a1:a2.
+        data = tmp_path / "short.txt"
+        with open(ATTACKER_DATA, encoding="utf-8") as fh:
+            data.write_text("".join(line for line in fh if len(line.split()) <= 2))
         out = tmp_path / "learned.fst"
-        code = main(["learn", "--data", ATTACKER_DATA, "--out", str(out), "--max-mask-len", "0"])
+        code = main(["learn", "--data", str(data), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert "[consistency]" in err and "a1:a2" in err
@@ -241,6 +245,18 @@ class TestPipeline:
         assert (dump / "actuator" / "h_theta.txt").is_file()
         assert (dump / "supervisor.fst").is_file()
 
+    def test_empty_sensor_dataset_is_an_analysis_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# nothing recorded\n")
+        out = tmp_path / "sup.fst"
+        code = main(["pipeline", "--sensor-data", str(empty), "--actuator-data", ATTACKER_DATA,
+                     "--plant", PLANT, "--mk", MK, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[learn]" in err and "sensor" in err and "dataset is empty" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSimulateAndSample:
     def test_simulate_prints_a_trace(self, capsys, golden_supervisor_file):
@@ -348,6 +364,10 @@ class TestDiagnostics:
             ["hankel", "--tol-binary", "1e-3", "--data", ATTACKER_DATA],
             ["sample", "--tol-rank", "1e-3", "--attacker", ATTACKER, "--out", "x.txt"],
             ["learn", "--tol-rank", "1e-9", "--data", ATTACKER_DATA, "--out", "x.fst"],
+            ["learn", "--data", ATTACKER_DATA, "--out", "x.fst", "--max-mask-len", "1"],
+            ["hankel", "--data", ATTACKER_DATA, "--max-mask-len", "1"],
+            ["pipeline", "--sensor-data", SENSOR_DATA, "--actuator-data", ATTACKER_DATA,
+             "--plant", PLANT, "--mk", MK, "--max-mask-len", "1"],
         ],
     )
     def test_flag_the_subcommand_does_not_use_exits_two(self, argv, capsys):
@@ -361,10 +381,6 @@ class TestDiagnostics:
              "--actuator-attacker", ATTACKER, "--steps", "-1"],
             ["simulate", "--plant", "TMP/non_trim.fst", "--supervisor", ATTACKER,
              "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER],
-            ["learn", "--data", ATTACKER_DATA, "--out", "TMP/x.fst", "--max-mask-len", "-1"],
-            ["hankel", "--data", ATTACKER_DATA, "--max-mask-len", "-1"],
-            ["pipeline", "--sensor-data", SENSOR_DATA, "--actuator-data", ATTACKER_DATA,
-             "--plant", PLANT, "--mk", MK, "--max-mask-len", "-1"],
             ["sample", "--attacker", ATTACKER, "--max-len", "-2", "--out", "TMP/x.txt"],
             ["sample", "--attacker", ATTACKER, "--n", "-1", "--out", "TMP/x.txt"],
         ],

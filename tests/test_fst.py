@@ -170,6 +170,19 @@ class TestSampleSet:
         with pytest.raises(FormatError, match="'b c'"):
             SampleSet.from_words(words[:2])
 
+    def test_string_letter_rejected_rather_than_split(self):
+        # "ab" would otherwise be recorded as the letter ("a", "b").
+        with pytest.raises(FormatError, match="bad letter of type str"):
+            SampleSet.from_words([["ab"]])
+        with pytest.raises(FormatError, match="bad letter of type str"):
+            SampleSet.from_words(w for w in [[("x", "u")], [("x", "u"), "ab"]])
+
+    def test_letter_that_is_not_iterable_rejected(self):
+        with pytest.raises(FormatError, match="bad letter of type int"):
+            SampleSet.from_words([[1]])
+        with pytest.raises(FormatError, match="bad letter of type int"):
+            SampleSet.from_words(w for w in [[("x", "u")], [("x", "u"), 1]])
+
     def test_letter_with_a_symbol_that_is_not_a_string_rejected(self):
         with pytest.raises(FormatError, match=re.escape("bad letter (1, 2)")):
             SampleSet.from_words([[(1, 2)]])

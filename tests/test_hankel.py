@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import fstlearn.hankel
 from fstlearn import (
-    AnalysisError,
     Fst,
     HankelSet,
     Mask,
+    NaturalityError,
     ResourceLimitError,
     SampleSet,
     accepts,
@@ -20,12 +20,16 @@ from fstlearn import (
     build_h_theta,
     build_hankel_set,
     check_closed,
+    extract_tuple,
     find_basis,
+    full_rank_decompose,
     language_upto,
     learn_fst,
     minimize,
+    naturalize,
     numeric_rank,
     trim,
+    tuple_to_fst,
 )
 from conftest import (
     CHI1,
@@ -309,8 +313,8 @@ class TestRankDeficientMachine:
     The c-state's residual row equals row(a) + row(b) - row(root), so the
     full candidate block has rank 4 against 5 minimal states. Machines
     like this sit outside the population the learner guarantees recovery
-    on; the rank filter detects them, and forcing the learner onto the
-    deficient mask fails loudly instead of emitting a wrong machine.
+    on; the rank filter detects them, and running the learner's stages on
+    the deficient mask fails loudly instead of emitting a wrong machine.
     """
 
     @pytest.fixture
@@ -345,9 +349,14 @@ class TestRankDeficientMachine:
         assert full_candidate_rank(words, default_mask_len(words)) < 5
 
     def test_learning_on_the_deficient_mask_fails_loudly(self, machine):
-        words = set(language_upto(machine, 11))
-        with pytest.raises(AnalysisError):
-            learn_fst(SampleSet.from_words(words), max_mask_len=2)
+        # The learner always uses the default mask; run its stages on the
+        # longer, deficient one by hand.
+        d = SampleSet.from_words(set(language_upto(machine, 11)))
+        hz = build_hankel_set(d, find_basis(d, 2))
+        assert check_closed(hz)
+        natural, _ = naturalize(full_rank_decompose(hz.h_theta))
+        with pytest.raises(NaturalityError):
+            tuple_to_fst(extract_tuple(hz, natural))
 
     def test_default_mask_yields_small_overapproximation(self, machine):
         # At the default mask length the block looks rank-one, so the

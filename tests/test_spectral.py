@@ -289,8 +289,10 @@ class TestLinearTransformInvariance:
 
 class TestLearnPipeline:
     def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AnalysisError) as err:
             learn_pipeline(SampleSet.from_words([]))
+        assert err.value.stage == "learn"
+        assert err.value.message == "dataset is empty"
 
     def test_single_empty_word(self):
         machine = learn_fst(SampleSet.from_words([()]))
@@ -314,11 +316,12 @@ class TestLearnPipeline:
     def test_deterministic(self, demo_dataset):
         assert learn_pipeline(demo_dataset).fst == learn_pipeline(demo_dataset).fst
 
-    def test_model_without_a_recorded_letter_fails_loudly(self, demo_dataset):
-        # At mask length 0 the learned model is one state that drops a1:a2,
-        # so it would reject the recording a1:a3 a1:a2.
+    def test_model_without_a_recorded_letter_fails_loudly(self):
+        # The demo recordings cut to length 2 give mask length 0, which
+        # learns one state that drops a1:a2, so it would reject the
+        # recording a1:a3 a1:a2.
         with pytest.raises(AnalysisError) as err:
-            learn_fst(demo_dataset, max_mask_len=0)
+            learn_fst(SampleSet.from_words(w for w in DEMO_WORDS if len(w) <= 2))
         assert err.value.stage == "consistency"
         assert "a1:a2" in err.value.message
 
