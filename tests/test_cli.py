@@ -381,6 +381,12 @@ class TestDiagnostics:
              "--actuator-attacker", ATTACKER, "--steps", "-1"],
             ["simulate", "--plant", "TMP/non_trim.fst", "--supervisor", ATTACKER,
              "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER],
+            ["simulate", "--plant", PLANT, "--supervisor", ATTACKER, "--sensor-attacker", SENSOR,
+             "--actuator-attacker", ATTACKER, "--steps", "-1", "--trace-out", "TMP/x.txt"],
+            ["sample", "--mode", "exhaustive", "--attacker", ATTACKER, "--max-len", "-1",
+             "--out", "TMP/x.txt"],
+            ["sample", "--mode", "exhaustive", "--attacker", ATTACKER, "--n", "-1",
+             "--out", "TMP/x.txt"],
             ["sample", "--attacker", ATTACKER, "--max-len", "-2", "--out", "TMP/x.txt"],
             ["sample", "--attacker", ATTACKER, "--n", "-1", "--out", "TMP/x.txt"],
         ],
