@@ -98,6 +98,15 @@ def pipeline(
     return verify_resilient(plant, s, a_s, a_a, m_k)
 
 
+def _verdict(yes: str, witness) -> int:
+    """Print the verdict `yes` (exit 0), or NOT_`yes` with its witness (exit 1)."""
+    if witness is None:
+        print(yes)
+        return 0
+    print(f"NOT_{yes} witness={word_to_text(witness)}")
+    return 1
+
+
 def _cmd_learn(args: argparse.Namespace) -> int:
     res = learn_pipeline(load_dataset(args.data))
     if args.dump_intermediates is not None:
@@ -120,11 +129,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         load_fst(args.actuator_attacker),
         _load_mk(args.mk),
     )
-    if result.resilient:
-        print("RESILIENT")
-        return 0
-    print(f"NOT_RESILIENT witness={word_to_text(result.witness)}")
-    return 1
+    return _verdict("RESILIENT", result.witness)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -173,12 +178,7 @@ def _cmd_hankel(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    witness = counterexample(load_fst(args.left), load_fst(args.right))
-    if witness is None:
-        print("EQUIVALENT")
-        return 0
-    print(f"NOT_EQUIVALENT witness={word_to_text(witness)}")
-    return 1
+    return _verdict("EQUIVALENT", counterexample(load_fst(args.left), load_fst(args.right)))
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
@@ -189,15 +189,11 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         _load_mk(args.mk),
         dump_dir=args.dump_intermediates,
     )
-    if result.resilient:
-        # The supervisor file is only written on success; a candidate that
-        # failed verification is available via --dump-intermediates.
-        if args.out is not None:
-            save_fst(result.supervisor, args.out)
-        print("RESILIENT")
-        return 0
-    print(f"NOT_RESILIENT witness={word_to_text(result.witness)}")
-    return 1
+    # The supervisor file is only written on success; a candidate that
+    # failed verification is available via --dump-intermediates.
+    if result.resilient and args.out is not None:
+        save_fst(result.supervisor, args.out)
+    return _verdict("RESILIENT", result.witness)
 
 
 def _count(text: str) -> int:

@@ -117,14 +117,22 @@ class SampleSet:
     Every word is assumed to be a true member of the target language; the
     toolkit validates shape only, never veracity. `words` may be any iterable
     of letter sequences; each distinct letter is checked once, in sorted order.
-    A letter is an (in, out) sequence: a string or a scalar is refused.
+    A word is a sequence of letters and a letter an (in, out) sequence of
+    strings; anything else raises FormatError.
     """
 
     words: frozenset[Word]
     alphabet: tuple[Letter, ...] = field(init=False)
 
     def __post_init__(self):
-        raw = list(map(tuple, self.words))  # one pass over any iterable; a tuple is not copied
+        words = list(self.words)  # the one pass over any iterable
+        try:
+            raw = list(map(tuple, words))  # a tuple is not copied
+        except TypeError:  # a word that is not iterable
+            odd = sorted({t.__name__ for t in map(type, words) if not hasattr(t, "__iter__")})
+            if not odd:
+                raise
+            raise FormatError(f"bad word of type {odd[0]}: expected a sequence of letters") from None
         try:
             words = [tuple(map(tuple, w)) for w in raw]
         except TypeError:  # a letter that is not iterable
@@ -134,8 +142,12 @@ class SampleSet:
                           if issubclass(t, str) or not hasattr(t, "__iter__")})
             if odd:
                 raise FormatError(f"bad letter of type {odd[0]}: expected an (in, out) pair")
-        words = frozenset(words)
-        letters = set(chain.from_iterable(words))
+        try:
+            words = frozenset(words)
+        except TypeError:  # an unhashable symbol, named below
+            letters = list(chain.from_iterable(words))
+        else:
+            letters = set(chain.from_iterable(words))
         odd = [repr(l) for l in letters if not all(isinstance(sym, str) for sym in l)]
         if odd:
             raise FormatError(f"bad letter {min(odd)}: symbols must be strings")
@@ -360,85 +372,74 @@ def intersect(a: Fst, b: Fst) -> Fst:
     return remove_silent(edges, finals)
 
 
-def _determinize(fst: Fst):
-    """Partial subset construction over pair letters.
+def _subsets(fst: Fst, stop=None):
+    """Partial subset construction over pair letters, one walk.
 
-    Returns (dtrans, finals): dtrans[k] maps letter -> state index, state 0
-    is the initial subset, finals is the set of accepting indices. The
-    empty subset is never created (missing letters simply have no entry).
+    Returns _explore's (order, edges): order[k] is a frozenset of states,
+    order[0] the initial subset, and edges[k] its (letter, target) pairs in
+    sorted letter order. The empty subset is never created (a missing
+    letter simply has no edge). stop is passed on to _explore.
     """
 
     def moves(sub):
         succ = _successors(fst, sub)
         return [(letter, frozenset(succ[letter])) for letter in sorted(succ)]
 
-    order, edges = _explore(frozenset([fst.initial]), moves, "determinization")
-    finals = {k for k, sub in enumerate(order) if sub & fst.finals}
-    return [dict(out) for out in edges], finals
+    return _explore(frozenset([fst.initial]), moves, "determinization", stop)
 
 
 def minimize(fst: Fst) -> Fst:
     """Minimal deterministic pair-alphabet acceptor for L(fst).
 
-    Subset construction followed by partition refinement; the result is
-    trim and canonically named. The empty language minimizes to the
-    single-state machine with no finals.
+    Moore partition refinement straight on the subset construction of the
+    trimmed machine, where a missing letter is its own signature entry; no
+    subset is dead, so the result is trim. It is canonically named. The
+    empty language minimizes to the single-state machine with no finals.
     """
     t = trim(fst)
     if not t.finals:
         return Fst(("0",), "0", frozenset(), frozenset())
-    dtrans, dfinals = _determinize(t)
-    letters = sorted({l for row in dtrans for l in row})
-    n = len(dtrans)
-    sink = n
-    total = [[row.get(l, sink) for l in letters] for row in dtrans]
-    total.append([sink] * len(letters))
-    cls = [1 if k in dfinals else 0 for k in range(n)] + [0]
+    order, edges = _subsets(t)
+    cls = [1 if sub & t.finals else 0 for sub in order]
     while True:
         sig: dict[tuple, int] = {}
-        new = []
-        for k in range(n + 1):
-            key = (cls[k], tuple(cls[t2] for t2 in total[k]))
-            new.append(sig.setdefault(key, len(sig)))
+        new = [
+            sig.setdefault((cls[k], tuple((letter, cls[d]) for letter, d in out)), len(sig))
+            for k, out in enumerate(edges)
+        ]
         if new == cls:
             break
         cls = new
-    states = tuple(str(c) for c in sorted(set(cls)))
-    transitions = set()
-    for k in range(n + 1):
-        for li, l in enumerate(letters):
-            transitions.add((str(cls[k]), l[0], l[1], str(cls[total[k][li]])))
-    finals = frozenset(str(cls[k]) for k in dfinals)
-    raw = Fst(states, str(cls[0]), frozenset(transitions), finals)
-    return _canonical(trim(raw))
+    transitions = frozenset(
+        (str(cls[k]), letter[0], letter[1], str(cls[d]))
+        for k, out in enumerate(edges)
+        for letter, d in out
+    )
+    finals = frozenset(str(c) for c, sub in zip(cls, order) if sub & t.finals)
+    raw = Fst(tuple(str(c) for c in sorted(set(cls))), str(cls[0]), transitions, finals)
+    return _canonical(raw)
 
 
 def counterexample(a: Fst, b: Fst) -> Word | None:
     """Shortest word accepted by exactly one of the two machines, or None.
 
-    BFS over the product of the two determinized partial acceptors, with
-    an implicit rejecting sink (None) on missing letters, stopping at the
-    first node where they differ. The witness follows the edge that first
-    reached each node on its way.
+    One BFS over pairs of subsets of the trimmed machines, stopping at the
+    first pair where they differ; a side with no move on a letter goes to
+    the empty subset, which rejects everything. The witness follows the
+    edge that first reached each node on its way.
     """
-    da, fa = _determinize(trim(a))
-    db, fb = _determinize(trim(b))
-    letters = sorted(
-        {l for row in da for l in row} | {l for row in db for l in row}
-    )
+    ta, tb = trim(a), trim(b)
 
     def moves(node):
-        sa, sb = node
-        for letter in letters:
-            ta = da[sa].get(letter) if sa is not None else None
-            tb = db[sb].get(letter) if sb is not None else None
-            if ta is not None or tb is not None:
-                yield letter, (ta, tb)
+        ma, mb = _successors(ta, node[0]), _successors(tb, node[1])
+        for letter in sorted(ma.keys() | mb.keys()):
+            yield letter, (frozenset(ma.get(letter, ())), frozenset(mb.get(letter, ())))
 
     def differ(node):
-        return (node[0] in fa) != (node[1] in fb)
+        return bool(node[0] & ta.finals) != bool(node[1] & tb.finals)
 
-    order, edges = _explore((0, 0), moves, "equivalence check", differ)
+    start = (frozenset([ta.initial]), frozenset([tb.initial]))
+    order, edges = _explore(start, moves, "equivalence check", differ)
     k = len(edges)
     if k == len(order):
         return None
@@ -483,15 +484,15 @@ def language_upto(fst: Fst, n: int) -> set[Word]:
 def is_prefix_closed(fst: Fst) -> bool:
     """True iff every prefix of every accepted word is accepted.
 
-    Decided on the trimmed, determinized acceptor: prefix-closed iff every
-    reachable subset state is accepting. The empty language is vacuously
-    prefix closed.
+    Decided on the trimmed machine: prefix-closed iff every reachable
+    subset is accepting, so the walk stops at the first one that is not.
+    The empty language is vacuously prefix closed.
     """
     t = trim(fst)
     if not t.finals:
         return True
-    dtrans, finals = _determinize(t)
-    return all(k in finals for k in range(len(dtrans)))
+    order, edges = _subsets(t, stop=lambda sub: not sub & t.finals)
+    return len(edges) == len(order)
 
 
 def identity_fst(symbols) -> Fst:

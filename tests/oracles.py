@@ -16,7 +16,20 @@ import numpy as np
 
 from fstlearn.errors import FormatError
 from fstlearn.formats import letter_from_text
-from fstlearn.fst import EMPTY_TOKEN, EPS, Fst, SampleSet, language_upto, minimize, trim
+from fstlearn.fst import (
+    EMPTY_TOKEN,
+    EPS,
+    Fst,
+    Letter,
+    SampleSet,
+    Word,
+    _canonical,
+    _explore,
+    _successors,
+    language_upto,
+    minimize,
+    trim,
+)
 from fstlearn.hankel import TOL_BINARY, HankelSet, Mask, numeric_rank
 
 
@@ -256,3 +269,116 @@ def spectral_ground_truth(seed: int, max_states: int = 5) -> tuple[Fst, set]:
         rank = full_candidate_rank(words, default_mask_len(words))
         if rank == len(minimize(machine).states):
             return machine, words
+
+
+# The subset-construction consumers as they were before they walked the
+# subsets on the fly: a full determinized table first, then a second walk
+# over it (minimize over a total table with an explicit sink row,
+# counterexample over the product of two tables with a None sink).
+
+
+def ref_determinize(fst: Fst):
+    """Partial subset construction over pair letters.
+
+    Returns (dtrans, finals): dtrans[k] maps letter -> state index, state 0
+    is the initial subset, finals is the set of accepting indices. The
+    empty subset is never created (missing letters simply have no entry).
+    """
+
+    def moves(sub):
+        succ = _successors(fst, sub)
+        return [(letter, frozenset(succ[letter])) for letter in sorted(succ)]
+
+    order, edges = _explore(frozenset([fst.initial]), moves, "determinization")
+    finals = {k for k, sub in enumerate(order) if sub & fst.finals}
+    return [dict(out) for out in edges], finals
+
+
+def ref_minimize(fst: Fst) -> Fst:
+    """Minimal deterministic pair-alphabet acceptor for L(fst).
+
+    Subset construction followed by partition refinement; the result is
+    trim and canonically named. The empty language minimizes to the
+    single-state machine with no finals.
+    """
+    t = trim(fst)
+    if not t.finals:
+        return Fst(("0",), "0", frozenset(), frozenset())
+    dtrans, dfinals = ref_determinize(t)
+    letters = sorted({l for row in dtrans for l in row})
+    n = len(dtrans)
+    sink = n
+    total = [[row.get(l, sink) for l in letters] for row in dtrans]
+    total.append([sink] * len(letters))
+    cls = [1 if k in dfinals else 0 for k in range(n)] + [0]
+    while True:
+        sig: dict[tuple, int] = {}
+        new = []
+        for k in range(n + 1):
+            key = (cls[k], tuple(cls[t2] for t2 in total[k]))
+            new.append(sig.setdefault(key, len(sig)))
+        if new == cls:
+            break
+        cls = new
+    states = tuple(str(c) for c in sorted(set(cls)))
+    transitions = set()
+    for k in range(n + 1):
+        for li, l in enumerate(letters):
+            transitions.add((str(cls[k]), l[0], l[1], str(cls[total[k][li]])))
+    finals = frozenset(str(cls[k]) for k in dfinals)
+    raw = Fst(states, str(cls[0]), frozenset(transitions), finals)
+    return _canonical(trim(raw))
+
+
+def ref_counterexample(a: Fst, b: Fst) -> Word | None:
+    """Shortest word accepted by exactly one of the two machines, or None.
+
+    BFS over the product of the two determinized partial acceptors, with
+    an implicit rejecting sink (None) on missing letters, stopping at the
+    first node where they differ. The witness follows the edge that first
+    reached each node on its way.
+    """
+    da, fa = ref_determinize(trim(a))
+    db, fb = ref_determinize(trim(b))
+    letters = sorted(
+        {l for row in da for l in row} | {l for row in db for l in row}
+    )
+
+    def moves(node):
+        sa, sb = node
+        for letter in letters:
+            ta = da[sa].get(letter) if sa is not None else None
+            tb = db[sb].get(letter) if sb is not None else None
+            if ta is not None or tb is not None:
+                yield letter, (ta, tb)
+
+    def differ(node):
+        return (node[0] in fa) != (node[1] in fb)
+
+    order, edges = _explore((0, 0), moves, "equivalence check", differ)
+    k = len(edges)
+    if k == len(order):
+        return None
+    first: dict[int, tuple[int, Letter]] = {}
+    for src, out in enumerate(edges):
+        for letter, t in out:
+            first.setdefault(t, (src, letter))
+    w = []
+    while k:
+        k, letter = first[k]
+        w.append(letter)
+    return tuple(reversed(w))
+
+
+def ref_is_prefix_closed(fst: Fst) -> bool:
+    """True iff every prefix of every accepted word is accepted.
+
+    Decided on the trimmed, determinized acceptor: prefix-closed iff every
+    reachable subset state is accepting. The empty language is vacuously
+    prefix closed.
+    """
+    t = trim(fst)
+    if not t.finals:
+        return True
+    dtrans, finals = ref_determinize(t)
+    return all(k in finals for k in range(len(dtrans)))

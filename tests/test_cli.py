@@ -455,7 +455,8 @@ class TestDiagnostics:
             assert main(["equiv", str(sup), golden_supervisor_file]) == 0
 
     def test_state_bound_exits_three(self, tmp_path, capsys):
-        # A ring one state past the bound: determinizing it needs every state.
+        # A ring one state past the bound, compared with itself: the walk over
+        # pairs of subsets finds no difference and numbers every state.
         n = MAX_STATES + 1
         ring = tmp_path / "ring.fst"
         ring.write_text(
@@ -464,7 +465,7 @@ class TestDiagnostics:
         )
         assert main(["equiv", str(ring), str(ring)]) == 3
         err = capsys.readouterr().err
-        assert err == "error: determinization exceeded the 10000-state bound\n"
+        assert err == "error: equivalence check exceeded the 10000-state bound\n"
 
     def test_hankel_block_bound_exits_three(self, monkeypatch, tmp_path, capsys):
         # The demo block has 2 distinct rows x 3 distinct columns.

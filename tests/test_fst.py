@@ -33,7 +33,15 @@ from fstlearn import (
     trim,
 )
 from fstlearn import fst as fst_module
-from oracles import PAIR_LETTERS, ref_accepts, ref_compose_language, ref_language_upto
+from oracles import (
+    PAIR_LETTERS,
+    ref_accepts,
+    ref_compose_language,
+    ref_counterexample,
+    ref_is_prefix_closed,
+    ref_language_upto,
+    ref_minimize,
+)
 
 EPS_LETTERS = (("x", EPS), (EPS, "u"))
 
@@ -195,6 +203,19 @@ class TestSampleSet:
         words = [[("y", 1), ("x", "u")], [("b", 2.0), ("a", None)]]
         with pytest.raises(FormatError, match=re.escape("bad letter ('a', None)")):
             SampleSet.from_words(words)
+
+    def test_word_that_is_not_iterable_rejected(self):
+        with pytest.raises(FormatError, match="^bad word of type int: expected a sequence of letters$"):
+            SampleSet.from_words([1])
+        # A generator can be read only once, yet the bad word is still named.
+        with pytest.raises(FormatError, match="^bad word of type NoneType: expected"):
+            SampleSet.from_words(w for w in [[("x", "u")], None])
+
+    def test_unhashable_symbol_rejected(self):
+        with pytest.raises(FormatError, match=re.escape("bad letter (['a'], 'b'): symbols must be strings")):
+            SampleSet.from_words([[(["a"], "b")]])
+        with pytest.raises(FormatError, match=re.escape("bad letter ('x', ['u'])")):
+            SampleSet.from_words(w for w in [[("x", "u")], [("y", "v"), ("x", ["u"])]])
 
     def test_each_distinct_letter_is_checked_once(self, monkeypatch):
         checked = []
@@ -579,3 +600,40 @@ class TestStateBound:
         assert counterexample(a, b) == (("a", "a"),) * 100
         monkeypatch.setattr(fst_module, "MAX_STATES", 101)
         assert counterexample(a, b) == (("a", "a"),) * 100
+
+    def test_counterexample_needs_only_the_nodes_up_to_the_difference(self, monkeypatch):
+        # The ring alone has 5 subsets; the difference lies at the second pair.
+        monkeypatch.setattr(fst_module, "MAX_STATES", 3)
+        empty_word_only = Fst(("0",), "0", frozenset(), frozenset({"0"}))
+        assert counterexample(_ring(5), empty_word_only) == (("a", "a"),)
+
+    def test_prefix_closure_needs_only_the_subsets_up_to_a_rejecting_one(self, monkeypatch):
+        monkeypatch.setattr(fst_module, "MAX_STATES", 3)
+        assert not is_prefix_closed(_ring(5, {"0"}))
+
+
+class TestAgainstDeterminizedTables:
+    """The on-the-fly subset walks give the outputs of a full determinized table."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(machines(max_states=5, letters=PAIR_LETTERS + EPS_LETTERS))
+    def test_minimize_text(self, m):
+        assert fst_to_text(minimize(m)) == fst_to_text(ref_minimize(m))
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        machines(max_states=4, letters=PAIR_LETTERS[:2] + EPS_LETTERS),
+        machines(max_states=4, letters=PAIR_LETTERS[:2] + EPS_LETTERS),
+    )
+    def test_counterexample_witness(self, a, b):
+        assert counterexample(a, b) == ref_counterexample(a, b)
+        both = intersect(a, b)
+        assert counterexample(both, a) == ref_counterexample(both, a)
+
+    @settings(deadline=None, max_examples=100)
+    @given(machines(max_states=5, letters=PAIR_LETTERS + EPS_LETTERS))
+    def test_prefix_closed_verdict(self, m):
+        assert is_prefix_closed(m) == ref_is_prefix_closed(m)
+        # Random finals rarely give a closed language; all-final machines always do.
+        closed = Fst(m.states, m.initial, m.transitions, frozenset(m.states))
+        assert is_prefix_closed(closed) == ref_is_prefix_closed(closed)
