@@ -1,6 +1,8 @@
 """Learn FST attacker models from recorded attack words and synthesize
 resilient supervisors for clocked control loops under channel attacks."""
 
+import importlib
+
 from .errors import (
     AnalysisError,
     ClosednessError,
@@ -40,18 +42,6 @@ from .fst import (
     minimize,
     trim,
 )
-from .hankel import (
-    TOL_BINARY,
-    TOL_RANK,
-    HankelSet,
-    Mask,
-    build_h_chi,
-    build_h_theta,
-    build_hankel_set,
-    check_closed,
-    find_basis,
-    numeric_rank,
-)
 from .loop import (
     LoopConfig,
     LoopState,
@@ -62,19 +52,6 @@ from .loop import (
     run,
     sample_attacker,
     step,
-)
-from .spectral import (
-    Decomposition,
-    LearnResult,
-    TransitionTuple,
-    eval_tuple,
-    extract_tuple,
-    full_rank_decompose,
-    is_natural,
-    learn_fst,
-    learn_pipeline,
-    naturalize,
-    tuple_to_fst,
 )
 from .supervisor import (
     SynthesisResult,
@@ -157,3 +134,26 @@ __all__ = [
     "verify_resilient",
     "__version__",
 ]
+
+# Only learning needs numpy: hankel and spectral, which import it, load on first use (PEP 562).
+_LAZY = {
+    name: module
+    for module, names in (
+        ("hankel", "TOL_BINARY TOL_RANK HankelSet Mask build_h_chi build_h_theta build_hankel_set"
+                   " check_closed find_basis numeric_rank"),
+        ("spectral", "Decomposition LearnResult TransitionTuple eval_tuple extract_tuple"
+                     " full_rank_decompose is_natural learn_fst learn_pipeline naturalize tuple_to_fst"),
+    )
+    for name in (module, *names.split())
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

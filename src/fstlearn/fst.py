@@ -125,7 +125,12 @@ class SampleSet:
     alphabet: tuple[Letter, ...] = field(init=False)
 
     def __post_init__(self):
-        words = list(self.words)  # the one pass over any iterable
+        try:
+            words = iter(self.words)
+        except TypeError:  # not a collection of words at all
+            kind = type(self.words).__name__
+            raise FormatError(f"bad word set of type {kind}: expected an iterable of words") from None
+        words = list(words)  # the one pass over any iterable
         try:
             raw = list(map(tuple, words))  # a tuple is not copied
         except TypeError:  # a word that is not iterable

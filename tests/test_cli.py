@@ -538,3 +538,34 @@ class TestHashSeedIndependence:
         assert first[0] == "RESILIENT\n"
         assert first[1].endswith("END max_steps\n")
         assert run_demo("1") == first
+
+
+class TestNumpyLoadsOnlyToLearn:
+    # A fresh interpreter runs one command through main and reports its
+    # exit code and whether numpy was imported along the way.
+    CHILD = ("import sys; from fstlearn.cli import main; "
+             "code = main(sys.argv[1:]); print(code, 'numpy' in sys.modules)")
+
+    @pytest.mark.parametrize(
+        "command, loads_numpy",
+        [("verify", False), ("simulate", False), ("synth", False), ("equiv", False), ("sample", False),
+         ("learn", True)],
+    )
+    def test_only_learning_imports_numpy(self, tmp_path, golden_supervisor_file, command, loads_numpy):
+        argv = {
+            "verify": ["--plant", PLANT, "--supervisor", golden_supervisor_file, "--sensor-attacker", SENSOR,
+                       "--actuator-attacker", ATTACKER, "--mk", MK],
+            "simulate": ["--plant", PLANT, "--supervisor", golden_supervisor_file,
+                         "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER, "--steps", "4"],
+            "synth": ["--mk", MK, "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER,
+                      "--out", str(tmp_path / "supervisor.fst")],
+            "equiv": [ATTACKER, ATTACKER],
+            "sample": ["--attacker", ATTACKER, "--out", str(tmp_path / "recorded.txt")],
+            "learn": ["--data", ATTACKER_DATA, "--out", str(tmp_path / "attacker.fst")],
+        }[command]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, command, *argv],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"

@@ -211,6 +211,12 @@ class TestSampleSet:
         with pytest.raises(FormatError, match="^bad word of type NoneType: expected"):
             SampleSet.from_words(w for w in [[("x", "u")], None])
 
+    def test_word_set_that_is_not_iterable_rejected(self):
+        for words, kind in ((5, "int"), (None, "NoneType")):
+            message = f"^bad word set of type {kind}: expected an iterable of words$"
+            with pytest.raises(FormatError, match=message):
+                SampleSet.from_words(words)
+
     def test_unhashable_symbol_rejected(self):
         with pytest.raises(FormatError, match=re.escape("bad letter (['a'], 'b'): symbols must be strings")):
             SampleSet.from_words([[(["a"], "b")]])
