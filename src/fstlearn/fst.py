@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import FormatError, ResourceLimitError
 
@@ -232,8 +234,9 @@ def invert(fst: Fst) -> Fst:
 def trim(fst: Fst) -> Fst:
     """Drop states not reachable from the initial or not co-reachable to a final.
 
-    State names are preserved. If the language is empty the canonical
-    single-state machine with no finals is returned.
+    State names are preserved, and a machine that loses no state is
+    returned as it is. If the language is empty the canonical single-state
+    machine with no finals is returned.
     """
     reach = set(_reachable(fst))
     back: dict[str, set[str]] = {}
@@ -250,6 +253,8 @@ def trim(fst: Fst) -> Fst:
     keep = reach & co
     if fst.initial not in keep:
         return Fst(("0",), "0", frozenset(), frozenset())
+    if len(keep) == len(fst.states):
+        return fst
     return Fst(
         states=tuple(s for s in fst.states if s in keep),
         initial=fst.initial,
@@ -331,6 +336,27 @@ def remove_silent(edges, finals) -> Fst:
     return _canonical(trim(raw))
 
 
+def compose_steps(a_arcs, b_arcs, p, q):
+    """compose's product steps from the state pair (p, q).
+
+    a_arcs and b_arcs are the (in, out, dst) moves of p and q. Yields
+    (in, out, p2, q2) per step; in == out == EPS marks a silent one.
+    a_arcs may hold such silent steps of an inner composition: b meets
+    each with its implicit stay, like any empty message.
+    """
+    for (i, m, p2) in a_arcs:
+        if m == EPS:
+            # b consumes the empty message with its implicit stay
+            yield i, EPS, p2, q
+        for (m2, o, q2) in b_arcs:
+            if m2 == m:
+                yield i, o, p2, q2
+    for (m2, o, q2) in b_arcs:
+        if m2 == EPS:
+            # a emits the empty message with its implicit stay
+            yield EPS, o, p, q2
+
+
 def compose(a: Fst, b: Fst) -> Fst:
     """Pipeline composition: a's output feeds b's input.
 
@@ -343,17 +369,8 @@ def compose(a: Fst, b: Fst) -> Fst:
 
     def moves(node):
         p, q = node
-        for (i, m, p2) in a.arcs[p]:
-            if m == EPS:
-                # b consumes the empty message with its implicit stay
-                yield (i, EPS), (p2, q)
-            for (m2, o, q2) in b.arcs[q]:
-                if m2 == m:
-                    yield (None if i == EPS and o == EPS else (i, o)), (p2, q2)
-        for (m2, o, q2) in b.arcs[q]:
-            if m2 == EPS:
-                # a emits the empty message with its implicit stay
-                yield (EPS, o), (p, q2)
+        for (i, o, p2, q2) in compose_steps(a.arcs[p], b.arcs[q], p, q):
+            yield (None if i == EPS and o == EPS else (i, o)), (p2, q2)
 
     order, edges = _explore((a.initial, b.initial), moves, "composition")
     finals = {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals}
@@ -375,6 +392,86 @@ def intersect(a: Fst, b: Fst) -> Fst:
     order, edges = _explore((a.initial, b.initial), moves, "intersection")
     finals = {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals}
     return remove_silent(edges, finals)
+
+
+class Graph(NamedTuple):
+    """A machine given by its moves rather than by its transitions.
+
+    moves(node) yields (letter, target) pairs, where a None letter is a
+    silent step; final(node) tells whether the node accepts. Nodes are
+    any hashable values.
+    """
+
+    start: Hashable
+    moves: Callable
+    final: Callable
+
+
+def _powerset(g: Graph, what: str):
+    """g's subset construction on demand: (start, step, accepting).
+
+    A subset is a frozenset of nodes closed under silent steps. step(sub)
+    maps each letter some node of sub reads to the closed subset it
+    reaches; accepting(sub) holds when a node of sub is final. Each node's
+    moves and closure are worked out once. Taking up more than MAX_STATES
+    nodes raises ResourceLimitError naming `what`.
+    """
+    outs = {}  # node -> ({letter: [targets]}, silent targets, final)
+    closures = {}  # node -> the nodes silently reachable from it
+
+    def out(node):
+        r = outs.get(node)
+        if r is None:
+            if len(outs) >= MAX_STATES:
+                raise ResourceLimitError(f"{what} exceeded the {MAX_STATES}-state bound")
+            letters, silent = {}, []
+            for label, t in g.moves(node):
+                if label is None:
+                    silent.append(t)
+                else:
+                    letters.setdefault(label, []).append(t)
+            r = outs[node] = (letters, silent, g.final(node))
+        return r
+
+    def closure(node):
+        c = closures.get(node)
+        if c is None:
+            seen = {node}
+            todo = [node]
+            for n in todo:
+                for t in out(n)[1]:
+                    if t not in seen:
+                        seen.add(t)
+                        todo.append(t)
+            c = closures[node] = frozenset(seen)
+        return c
+
+    def step(sub):
+        succ: dict = {}
+        for n in sub:
+            for label, ts in out(n)[0].items():
+                succ.setdefault(label, []).extend(ts)
+        return {
+            label: closure(ts[0]) if len(ts) == 1 else frozenset().union(*map(closure, ts))
+            for label, ts in succ.items()
+        }
+
+    return closure(g.start), step, lambda sub: any(out(n)[2] for n in sub)
+
+
+def _fst_powerset(fst: Fst):
+    """fst's subset construction on demand, in _powerset's form.
+
+    A machine has no silent steps, so any nonempty set of states is a
+    subset, read straight off the transition index: keeping each state's
+    moves as _powerset does made comparing two machines twice as slow.
+    step hands back sets; frozenset() of one is the subset.
+    """
+    return (
+        frozenset([fst.initial]),
+        partial(_successors, fst),
+        lambda sub: not fst.finals.isdisjoint(sub),
+    )
 
 
 def _subsets(fst: Fst, stop=None):
@@ -425,26 +522,31 @@ def minimize(fst: Fst) -> Fst:
     return _canonical(raw)
 
 
-def counterexample(a: Fst, b: Fst) -> Word | None:
-    """Shortest word accepted by exactly one of the two machines, or None.
+def counterexample(a: Fst | Graph, b: Fst | Graph) -> Word | None:
+    """Shortlex-least word accepted by exactly one of two machines, or None.
 
-    One BFS over pairs of subsets of the trimmed machines, stopping at the
-    first pair where they differ; a side with no move on a letter goes to
-    the empty subset, which rejects everything. The witness follows the
-    edge that first reached each node on its way.
+    Each side is an Fst, which is trimmed first, or a Graph, of which at
+    most MAX_STATES nodes are taken up. One BFS over
+    pairs of subsets, letters in sorted order, stopping at the first pair
+    where the sides differ; a side with no move on a letter goes to the
+    empty subset, which rejects everything. The witness follows the edge
+    that first reached each node on its way, so it does not depend on
+    which machine represents either language.
     """
-    ta, tb = trim(a), trim(b)
+    what = "equivalence check"
+    (start_a, step_a, accepts_a), (start_b, step_b, accepts_b) = (
+        _fst_powerset(trim(m)) if isinstance(m, Fst) else _powerset(m, what) for m in (a, b)
+    )
 
     def moves(node):
-        ma, mb = _successors(ta, node[0]), _successors(tb, node[1])
+        ma, mb = step_a(node[0]), step_b(node[1])
         for letter in sorted(ma.keys() | mb.keys()):
             yield letter, (frozenset(ma.get(letter, ())), frozenset(mb.get(letter, ())))
 
     def differ(node):
-        return bool(node[0] & ta.finals) != bool(node[1] & tb.finals)
+        return accepts_a(node[0]) != accepts_b(node[1])
 
-    start = (frozenset([ta.initial]), frozenset([tb.initial]))
-    order, edges = _explore(start, moves, "equivalence check", differ)
+    order, edges = _explore((start_a, start_b), moves, what, differ)
     k = len(edges)
     if k == len(order):
         return None
@@ -491,10 +593,12 @@ def is_prefix_closed(fst: Fst) -> bool:
 
     Decided on the trimmed machine: prefix-closed iff every reachable
     subset is accepting, so the walk stops at the first one that is not.
-    The empty language is vacuously prefix closed.
+    No walk is needed when every state is final, since each reachable
+    subset is nonempty, nor for the empty language, which is vacuously
+    prefix closed.
     """
     t = trim(fst)
-    if not t.finals:
+    if not t.finals or t.finals == frozenset(t.states):
         return True
     order, edges = _subsets(t, stop=lambda sub: not sub & t.finals)
     return len(edges) == len(order)

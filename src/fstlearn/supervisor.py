@@ -12,8 +12,8 @@ what the plant can actually do inside the loop,
 
 and S is resilient exactly when that language equals L(M_K). The
 verdict is a value, not an exception: nonexistence of a resilient
-supervisor is a legitimate analysis outcome, reported with a shortest
-witness word from the symmetric difference.
+supervisor is a legitimate analysis outcome, reported with the
+shortlex-least witness word from the symmetric difference.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ from .formats import symbol_from_text
 from .fst import (
     EPS,
     Fst,
+    Graph,
     Letter,
     Word,
     compose,
+    compose_steps,
     counterexample,
     intersect,
     invert,
@@ -62,13 +64,41 @@ def synthesize(m_k: Fst, a_s: Fst, a_a: Fst) -> Fst:
 
 
 def supervised_language(p: Fst, s: Fst, a_s: Fst, a_a: Fst) -> Fst:
-    """Plant words possible in the loop: L(invert(a_s . s . a_a)) n L(p)."""
+    """Plant words possible in the loop: L(invert(a_s . s . a_a)) n L(p).
+
+    The language as a machine; verify_resilient walks it without building it.
+    """
     return intersect(invert(compose(compose(a_s, s), a_a)), p)
 
 
 def verify_resilient(p: Fst, s: Fst, a_s: Fst, a_a: Fst, m_k: Fst) -> SynthesisResult:
-    lang = supervised_language(p, s, a_s, a_a)
-    witness = counterexample(lang, m_k)
+    """Whether supervised_language(p, s, a_s, a_a) equals L(m_k).
+
+    counterexample walks the loop on the fly, so no machine is built. A
+    loop node is (a_s state, s state, a_a state, p state). Its moves are
+    those of compose(compose(a_s, s), a_a), silent ones included, taken
+    together with a plant step on the inverted letter; a silent move
+    leaves the plant where it is. A node accepts when all four states are
+    final.
+    """
+
+    def moves(node):
+        x, y, z, w = node
+        inner = ((i, m, (x2, y2)) for (i, m, x2, y2) in compose_steps(a_s.arcs[x], s.arcs[y], x, y))
+        for (i, o, (x2, y2), z2) in compose_steps(inner, a_a.arcs[z], (x, y), z):
+            if i == EPS and o == EPS:
+                yield None, (x2, y2, z2, w)
+                continue
+            for (pi, po, w2) in p.arcs[w]:
+                if pi == o and po == i:
+                    yield (o, i), (x2, y2, z2, w2)
+
+    def final(node):
+        x, y, z, w = node
+        return x in a_s.finals and y in s.finals and z in a_a.finals and w in p.finals
+
+    loop = Graph((a_s.initial, s.initial, a_a.initial, p.initial), moves, final)
+    witness = counterexample(loop, m_k)
     return SynthesisResult(supervisor=s, resilient=witness is None, witness=witness)
 
 

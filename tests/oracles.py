@@ -31,6 +31,7 @@ from fstlearn.fst import (
     trim,
 )
 from fstlearn.hankel import TOL_BINARY, HankelSet, Mask, numeric_rank
+from fstlearn.supervisor import SynthesisResult, counterexample, supervised_language
 
 
 def ref_accepts(fst: Fst, word) -> bool:
@@ -382,3 +383,14 @@ def ref_is_prefix_closed(fst: Fst) -> bool:
         return True
     dtrans, finals = ref_determinize(t)
     return all(k in finals for k in range(len(dtrans)))
+
+
+def ref_verify_resilient(p: Fst, s: Fst, a_s: Fst, a_a: Fst, m_k: Fst) -> SynthesisResult:
+    """verify_resilient as it was before it walked the loop on the fly.
+
+    The supervised language is built as a machine by composition,
+    inversion and intersection, and then compared with m_k.
+    """
+    lang = supervised_language(p, s, a_s, a_a)
+    witness = counterexample(lang, m_k)
+    return SynthesisResult(supervisor=s, resilient=witness is None, witness=witness)

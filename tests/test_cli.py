@@ -467,6 +467,14 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert err == "error: equivalence check exceeded the 10000-state bound\n"
 
+    def test_verify_walk_past_the_state_bound_exits_three(self, monkeypatch, golden_supervisor_file, capsys):
+        # The golden loop's walk numbers two pairs of subsets over two loop nodes.
+        monkeypatch.setattr(fstlearn.fst, "MAX_STATES", 1)
+        argv = ["verify", "--plant", PLANT, "--supervisor", golden_supervisor_file,
+                "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER, "--mk", MK]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: equivalence check exceeded the 1-state bound\n"
+
     def test_hankel_block_bound_exits_three(self, monkeypatch, tmp_path, capsys):
         # The demo block has 2 distinct rows x 3 distinct columns.
         monkeypatch.setattr(fstlearn.hankel, "MAX_BLOCK_CELLS", 5)

@@ -33,6 +33,7 @@ from fstlearn import (
     trim,
 )
 from fstlearn import fst as fst_module
+from fstlearn.fst import Graph
 from oracles import (
     PAIR_LETTERS,
     ref_accepts,
@@ -490,6 +491,13 @@ class TestPrefixClosed:
         if refuted:
             assert not is_prefix_closed(m)
 
+    def test_all_final_machine_needs_no_subset_walk(self, monkeypatch):
+        def walk(*args, **kwargs):
+            raise AssertionError("walked the subsets of an all-final machine")
+
+        monkeypatch.setattr(fst_module, "_subsets", walk)
+        assert is_prefix_closed(_ring(1000))
+
     def test_empty_language_is_closed(self):
         m = Fst(states=("0",), initial="0", transitions=frozenset(), finals=frozenset())
         assert is_prefix_closed(m)
@@ -580,6 +588,17 @@ def _ring(n: int, finals=None) -> Fst:
     return _machine({(str(k), "a", "a", str((k + 1) % n)) for k in range(n)}, finals)
 
 
+def _ring_with_detour(n: int) -> Fst:
+    """_ring(n) plus a non-final state x on a second path from 0 to 2.
+
+    Every subset still holds a ring state, so the language is prefix
+    closed, but only a walk over the n subsets shows it.
+    """
+    ring = _ring(n)
+    detour = {("0", "a", "a", "x"), ("x", "a", "a", "2")}
+    return _machine(ring.transitions | detour, ring.finals)
+
+
 class TestStateBound:
     @pytest.mark.parametrize(
         "build, needed, what",
@@ -587,7 +606,7 @@ class TestStateBound:
             (lambda: compose(_ring(3), _ring(4)), 12, "composition"),
             (lambda: intersect(_ring(3), _ring(4)), 12, "intersection"),
             (lambda: minimize(_ring(5)), 5, "determinization"),
-            (lambda: is_prefix_closed(_ring(5)), 5, "determinization"),
+            (lambda: is_prefix_closed(_ring_with_detour(5)), 5, "determinization"),
             (lambda: counterexample(_ring(3), _ring(4)), 12, "equivalence check"),
         ],
         ids=["compose", "intersect", "minimize", "is_prefix_closed", "counterexample"],
@@ -598,6 +617,16 @@ class TestStateBound:
         monkeypatch.setattr(fst_module, "MAX_STATES", needed - 1)
         with pytest.raises(ResourceLimitError, match=f"^{what} exceeded the {needed - 1}-state bound$"):
             build()
+
+    def test_graph_nodes_count_against_the_bound(self, monkeypatch):
+        # A silent chain of five nodes is one subset, but five nodes taken up.
+        chain = Graph(0, lambda n: [(None, n + 1)] if n < 4 else [], lambda n: n == 4)
+        empty_word_only = Fst(("0",), "0", frozenset(), frozenset({"0"}))
+        monkeypatch.setattr(fst_module, "MAX_STATES", 5)
+        assert counterexample(chain, empty_word_only) is None
+        monkeypatch.setattr(fst_module, "MAX_STATES", 4)
+        with pytest.raises(ResourceLimitError, match="^equivalence check exceeded the 4-state bound$"):
+            counterexample(chain, empty_word_only)
 
     def test_counterexample_stops_at_the_first_difference(self, monkeypatch):
         # The product of these rings is one cycle of 10 100 nodes, but they

@@ -3,42 +3,72 @@
 from __future__ import annotations
 
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fstlearn.supervisor
 from fstlearn import (
+    EPS,
     FormatError,
     Fst,
+    ResourceLimitError,
     SynthesisResult,
     accepts,
     equivalent,
     identity_fst,
     invert,
     language_upto,
+    load_fst,
     minimize,
     pattern_to_fst,
     supervised_language,
     synthesize,
     verify_resilient,
 )
+from fstlearn import fst as fst_module
+from oracles import ref_verify_resilient
 
 A1S2 = ("a1", "s2")
 A2S2 = ("a2", "s2")
 
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+PLANT, ATTACKER, SENSOR, MK = (
+    load_fst(str(DEMO / name)) for name in ("plant.fst", "attacker.fst", "sensor_identity.fst", "mk.fst")
+)
+# The worked example's supervisor: command a3, then a1, forever. The
+# actuator attacker turns a3 into a1 and a1 into a2, so this command
+# stream makes the plant execute (a1 s2)(a2 s2)... as desired.
+GOLDEN = Fst(
+    states=("0", "1"),
+    initial="0",
+    transitions=frozenset({("0", "s2", "a3", "1"), ("1", "s2", "a1", "0")}),
+    finals=frozenset({"0", "1"}),
+)
+# Without the a3->a1 rewrite the commanded a3 dies in the channel.
+CRIPPLED = Fst(
+    states=ATTACKER.states,
+    initial=ATTACKER.initial,
+    transitions=frozenset(t for t in ATTACKER.transitions if t[1] != "a3"),
+    finals=ATTACKER.finals,
+)
+# A sensor attacker that may insert x, and the golden supervisor
+# deleting it: their composition takes silent (eps, eps) steps.
+INSERTS_X = Fst(("0",), "0", frozenset({("0", EPS, "x", "0"), ("0", "s2", "s2", "0")}), frozenset({"0"}))
+DELETES_X = Fst(
+    GOLDEN.states,
+    GOLDEN.initial,
+    GOLDEN.transitions | {("0", "x", EPS, "0"), ("1", "x", EPS, "1")},
+    GOLDEN.finals,
+)
+DEAD = Fst(states=("0",), initial="0", transitions=frozenset(), finals=frozenset())
+
 
 @pytest.fixture
 def golden_supervisor() -> Fst:
-    """The worked example's supervisor: command a3, then a1, forever.
-
-    The actuator attacker turns a3 into a1 and a1 into a2, so this
-    command stream makes the plant execute (a1 s2)(a2 s2)... as desired.
-    """
-    return Fst(
-        states=("0", "1"),
-        initial="0",
-        transitions=frozenset({("0", "s2", "a3", "1"), ("1", "s2", "a1", "0")}),
-        finals=frozenset({"0", "1"}),
-    )
+    return GOLDEN
 
 
 def shortest_difference(a: Fst, b: Fst, horizon: int) -> list:
@@ -147,33 +177,88 @@ class TestVerifyResilient:
         assert res.witness == (A1S2,)
 
     def test_witness_is_shortest_and_one_sided(
-        self, demo_plant, demo_mk, identity_sensor, demo_attacker, golden_supervisor
+        self, demo_plant, demo_mk, identity_sensor, golden_supervisor
     ):
-        # Cripple the attacker model the supervisor was built for: without
-        # the a3->a1 rewrite the commanded a3 dies in the channel.
-        crippled = Fst(
-            states=demo_attacker.states,
-            initial=demo_attacker.initial,
-            transitions=frozenset(
-                t for t in demo_attacker.transitions if t[1] != "a3"
-            ),
-            finals=demo_attacker.finals,
-        )
+        # Cripple the attacker model the supervisor was built for.
         res = verify_resilient(
-            demo_plant, golden_supervisor, identity_sensor, crippled, demo_mk
+            demo_plant, golden_supervisor, identity_sensor, CRIPPLED, demo_mk
         )
         assert not res.resilient
-        lang = supervised_language(demo_plant, golden_supervisor, identity_sensor, crippled)
+        lang = supervised_language(demo_plant, golden_supervisor, identity_sensor, CRIPPLED)
         in_lang, in_spec = accepts(lang, res.witness), accepts(demo_mk, res.witness)
         assert in_lang != in_spec
         expected = shortest_difference(lang, demo_mk, len(res.witness) + 1)
         assert len(res.witness) == len(expected[0])
+
+    def test_builds_no_machine(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("verify_resilient built a machine")
+
+        for name in ("compose", "intersect", "invert"):
+            monkeypatch.setattr(fstlearn.supervisor, name, build)
+        assert verify_resilient(PLANT, GOLDEN, SENSOR, ATTACKER, MK).resilient
+        assert verify_resilient(PLANT, GOLDEN, SENSOR, CRIPPLED, MK).witness == (A1S2,)
+
+    def test_walk_past_the_state_bound_is_an_equivalence_check(self, monkeypatch):
+        # The golden loop's walk numbers two pairs of subsets over two loop nodes.
+        monkeypatch.setattr(fst_module, "MAX_STATES", 2)
+        assert verify_resilient(PLANT, GOLDEN, SENSOR, ATTACKER, MK).resilient
+        monkeypatch.setattr(fst_module, "MAX_STATES", 1)
+        with pytest.raises(ResourceLimitError, match="^equivalence check exceeded the 1-state bound$"):
+            verify_resilient(PLANT, GOLDEN, SENSOR, ATTACKER, MK)
 
     def test_result_invariant_enforced(self, golden_supervisor):
         with pytest.raises(ValueError):
             SynthesisResult(supervisor=golden_supervisor, resilient=True, witness=(A1S2,))
         with pytest.raises(ValueError):
             SynthesisResult(supervisor=golden_supervisor, resilient=False, witness=None)
+
+
+# Every letter over two symbols and eps but the stay letter, so that
+# channels insert and delete messages and inner steps can be silent.
+SYMBOLS = ("a", "b", EPS)
+LETTERS = tuple((i, o) for i in SYMBOLS for o in SYMBOLS if (i, o) != (EPS, EPS))
+
+
+@st.composite
+def small_machines(draw) -> Fst:
+    states = tuple(str(k) for k in range(draw(st.integers(1, 3))))
+    state = st.sampled_from(states)
+    arcs = draw(st.sets(st.tuples(state, st.sampled_from(LETTERS), state), max_size=6))
+    return Fst(
+        states, "0", frozenset((s, i, o, d) for s, (i, o), d in arcs), frozenset(draw(st.sets(state)))
+    )
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the reference must fail the same way
+        return type(exc), str(exc)
+
+
+class TestAgainstTheSupervisedLanguage:
+    """The on-the-fly walk gives the verdicts of the built supervised language."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(small_machines(), small_machines(), small_machines(), small_machines(), small_machines())
+    @example(PLANT, GOLDEN, SENSOR, ATTACKER, MK)
+    @example(PLANT, invert(MK), SENSOR, ATTACKER, MK)
+    @example(PLANT, GOLDEN, SENSOR, CRIPPLED, MK)
+    @example(PLANT, DELETES_X, INSERTS_X, ATTACKER, MK)
+    @example(PLANT, DEAD, SENSOR, ATTACKER, MK)
+    def test_same_result(self, p, s, a_s, a_a, m_k):
+        assert outcome(verify_resilient, p, s, a_s, a_a, m_k) == outcome(
+            ref_verify_resilient, p, s, a_s, a_a, m_k
+        )
+
+    def test_dead_supervisor_misses_the_empty_word(self):
+        assert verify_resilient(PLANT, DEAD, SENSOR, ATTACKER, MK).witness == ()
+
+    def test_inserted_symbols_the_supervisor_deletes_are_silent(self):
+        # Each x the sensor attacker inserts meets the supervisor's deletion
+        # in one silent step, so the loop is the golden one.
+        assert verify_resilient(PLANT, DELETES_X, INSERTS_X, ATTACKER, MK).resilient
 
 
 class TestPatternToFst:
