@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
-from types import MappingProxyType
-from typing import NamedTuple
+from types import MappingProxyType, SimpleNamespace
 
 from .errors import FormatError, ResourceLimitError
 
@@ -183,11 +181,14 @@ def shortlex(items) -> list:
     return sorted(items, key=lambda x: (len(x), x))
 
 
-def _successors(fst: Fst, subset) -> dict[Letter, set[str]]:
-    """The states reached from a subset of states, per pair letter."""
-    moves: dict[Letter, set[str]] = {}
+def _successors(arcs, subset) -> dict[Letter, set]:
+    """The states reached from a subset of states, per pair letter.
+
+    arcs maps each state to its (in, out, dst) moves, as Fst.arcs does.
+    """
+    moves: dict[Letter, set] = {}
     for s in subset:
-        for (i, o, d) in fst.arcs[s]:
+        for (i, o, d) in arcs[s]:
             moves.setdefault((i, o), set()).add(d)
     return moves
 
@@ -215,7 +216,7 @@ def accepts(fst: Fst, w: Word) -> bool:
     for letter in w:
         if letter == (EPS, EPS):
             continue
-        cur = _successors(fst, cur).get(tuple(letter))
+        cur = _successors(fst.arcs, cur).get(tuple(letter))
         if not cur:
             return False
     return bool(cur & fst.finals)
@@ -264,10 +265,11 @@ def trim(fst: Fst) -> Fst:
 
 
 def _canonical(fst: Fst) -> Fst:
-    """Rename states 0..n-1 in BFS discovery order for byte-stable output."""
+    """Rename states 0..n-1 in BFS discovery order for byte-stable output.
+
+    Every state must be reachable, as in trim's and minimize's results.
+    """
     order = _reachable(fst)
-    seen = set(order)
-    order += [s for s in fst.states if s not in seen]
     name = {s: str(k) for k, s in enumerate(order)}
     return Fst(
         states=tuple(name[s] for s in order),
@@ -277,7 +279,7 @@ def _canonical(fst: Fst) -> Fst:
     )
 
 
-def _explore(start, moves, what: str, stop=None):
+def explore(start, moves, what: str, stop=None):
     """Breadth-first walk from start, numbering nodes in discovery order.
 
     moves(node) yields (label, target node) pairs. Returns (order, edges):
@@ -306,16 +308,16 @@ def _explore(start, moves, what: str, stop=None):
     return order, edges
 
 
-def remove_silent(edges, finals) -> Fst:
-    """The trimmed, canonically named machine of a numbered graph.
+def close_silent(edges, finals) -> SimpleNamespace:
+    """A numbered graph with its silent steps closed: (initial, arcs, finals).
 
     Node 0 is initial; edges[k] lists node k's (label, target) pairs,
     where a label is a pair letter or None for a silent step. Node k
-    takes the letter edges of every node silently reachable from it and
-    is final when any of those nodes is in finals.
+    takes the letter edges of every node silently reachable from it,
+    listed in arcs[k] as (in, out, target) moves, and is final when any
+    of those nodes is in finals. counterexample reads it as a side.
     """
-    names = [str(k) for k in range(len(edges))]
-    transitions = set()
+    arcs = []
     final = set()
     for k, out in enumerate(edges):
         members = [k]
@@ -326,13 +328,23 @@ def remove_silent(edges, finals) -> Fst:
                     if label is None and t not in seen:
                         seen.add(t)
                         members.append(t)
+        moves = []
         for m in members:
             if m in finals:
-                final.add(names[k])
-            for label, t in edges[m]:
-                if label is not None:
-                    transitions.add((names[k], label[0], label[1], names[t]))
-    raw = Fst(tuple(names), "0", frozenset(transitions), frozenset(final))
+                final.add(k)
+            moves += [(label[0], label[1], t) for label, t in edges[m] if label is not None]
+        arcs.append(moves)
+    return SimpleNamespace(initial=0, arcs=arcs, finals=final)
+
+
+def remove_silent(edges, finals) -> Fst:
+    """The trimmed, canonically named machine of close_silent(edges, finals)."""
+    closed = close_silent(edges, finals)
+    names = [str(k) for k in range(len(edges))]
+    transitions = frozenset(
+        (names[k], i, o, names[t]) for k, moves in enumerate(closed.arcs) for (i, o, t) in moves
+    )
+    raw = Fst(tuple(names), "0", transitions, frozenset(names[k] for k in closed.finals))
     return _canonical(trim(raw))
 
 
@@ -372,7 +384,7 @@ def compose(a: Fst, b: Fst) -> Fst:
         for (i, o, p2, q2) in compose_steps(a.arcs[p], b.arcs[q], p, q):
             yield (None if i == EPS and o == EPS else (i, o)), (p2, q2)
 
-    order, edges = _explore((a.initial, b.initial), moves, "composition")
+    order, edges = explore((a.initial, b.initial), moves, "composition")
     finals = {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals}
     return remove_silent(edges, finals)
 
@@ -389,105 +401,25 @@ def intersect(a: Fst, b: Fst) -> Fst:
             for q2 in moves_b.get((i, o), ()):
                 yield (i, o), (p2, q2)
 
-    order, edges = _explore((a.initial, b.initial), moves, "intersection")
+    order, edges = explore((a.initial, b.initial), moves, "intersection")
     finals = {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals}
     return remove_silent(edges, finals)
-
-
-class Graph(NamedTuple):
-    """A machine given by its moves rather than by its transitions.
-
-    moves(node) yields (letter, target) pairs, where a None letter is a
-    silent step; final(node) tells whether the node accepts. Nodes are
-    any hashable values.
-    """
-
-    start: Hashable
-    moves: Callable
-    final: Callable
-
-
-def _powerset(g: Graph, what: str):
-    """g's subset construction on demand: (start, step, accepting).
-
-    A subset is a frozenset of nodes closed under silent steps. step(sub)
-    maps each letter some node of sub reads to the closed subset it
-    reaches; accepting(sub) holds when a node of sub is final. Each node's
-    moves and closure are worked out once. Taking up more than MAX_STATES
-    nodes raises ResourceLimitError naming `what`.
-    """
-    outs = {}  # node -> ({letter: [targets]}, silent targets, final)
-    closures = {}  # node -> the nodes silently reachable from it
-
-    def out(node):
-        r = outs.get(node)
-        if r is None:
-            if len(outs) >= MAX_STATES:
-                raise ResourceLimitError(f"{what} exceeded the {MAX_STATES}-state bound")
-            letters, silent = {}, []
-            for label, t in g.moves(node):
-                if label is None:
-                    silent.append(t)
-                else:
-                    letters.setdefault(label, []).append(t)
-            r = outs[node] = (letters, silent, g.final(node))
-        return r
-
-    def closure(node):
-        c = closures.get(node)
-        if c is None:
-            seen = {node}
-            todo = [node]
-            for n in todo:
-                for t in out(n)[1]:
-                    if t not in seen:
-                        seen.add(t)
-                        todo.append(t)
-            c = closures[node] = frozenset(seen)
-        return c
-
-    def step(sub):
-        succ: dict = {}
-        for n in sub:
-            for label, ts in out(n)[0].items():
-                succ.setdefault(label, []).extend(ts)
-        return {
-            label: closure(ts[0]) if len(ts) == 1 else frozenset().union(*map(closure, ts))
-            for label, ts in succ.items()
-        }
-
-    return closure(g.start), step, lambda sub: any(out(n)[2] for n in sub)
-
-
-def _fst_powerset(fst: Fst):
-    """fst's subset construction on demand, in _powerset's form.
-
-    A machine has no silent steps, so any nonempty set of states is a
-    subset, read straight off the transition index: keeping each state's
-    moves as _powerset does made comparing two machines twice as slow.
-    step hands back sets; frozenset() of one is the subset.
-    """
-    return (
-        frozenset([fst.initial]),
-        partial(_successors, fst),
-        lambda sub: not fst.finals.isdisjoint(sub),
-    )
 
 
 def _subsets(fst: Fst, stop=None):
     """Partial subset construction over pair letters, one walk.
 
-    Returns _explore's (order, edges): order[k] is a frozenset of states,
+    Returns explore's (order, edges): order[k] is a frozenset of states,
     order[0] the initial subset, and edges[k] its (letter, target) pairs in
     sorted letter order. The empty subset is never created (a missing
-    letter simply has no edge). stop is passed on to _explore.
+    letter simply has no edge). stop is passed on to explore.
     """
 
     def moves(sub):
-        succ = _successors(fst, sub)
+        succ = _successors(fst.arcs, sub)
         return [(letter, frozenset(succ[letter])) for letter in sorted(succ)]
 
-    return _explore(frozenset([fst.initial]), moves, "determinization", stop)
+    return explore(frozenset([fst.initial]), moves, "determinization", stop)
 
 
 def minimize(fst: Fst) -> Fst:
@@ -522,31 +454,29 @@ def minimize(fst: Fst) -> Fst:
     return _canonical(raw)
 
 
-def counterexample(a: Fst | Graph, b: Fst | Graph) -> Word | None:
+def counterexample(a, b) -> Word | None:
     """Shortlex-least word accepted by exactly one of two machines, or None.
 
-    Each side is an Fst, which is trimmed first, or a Graph, of which at
-    most MAX_STATES nodes are taken up. One BFS over
+    Each side is anything with initial, arcs and finals: an Fst, which is
+    trimmed first, or a graph closed by close_silent. One BFS over
     pairs of subsets, letters in sorted order, stopping at the first pair
     where the sides differ; a side with no move on a letter goes to the
     empty subset, which rejects everything. The witness follows the edge
     that first reached each node on its way, so it does not depend on
     which machine represents either language.
     """
-    what = "equivalence check"
-    (start_a, step_a, accepts_a), (start_b, step_b, accepts_b) = (
-        _fst_powerset(trim(m)) if isinstance(m, Fst) else _powerset(m, what) for m in (a, b)
-    )
+    a, b = (trim(m) if isinstance(m, Fst) else m for m in (a, b))
 
     def moves(node):
-        ma, mb = step_a(node[0]), step_b(node[1])
+        ma, mb = _successors(a.arcs, node[0]), _successors(b.arcs, node[1])
         for letter in sorted(ma.keys() | mb.keys()):
             yield letter, (frozenset(ma.get(letter, ())), frozenset(mb.get(letter, ())))
 
     def differ(node):
-        return accepts_a(node[0]) != accepts_b(node[1])
+        return a.finals.isdisjoint(node[0]) != b.finals.isdisjoint(node[1])
 
-    order, edges = _explore((start_a, start_b), moves, what, differ)
+    start = (frozenset([a.initial]), frozenset([b.initial]))
+    order, edges = explore(start, moves, "equivalence check", differ)
     k = len(edges)
     if k == len(order):
         return None
@@ -580,7 +510,7 @@ def language_upto(fst: Fst, n: int) -> set[Word]:
             break
         nxt: dict[Word, set[str]] = {}
         for w, cur in frontier.items():
-            for letter, tgts in _successors(fst, cur).items():
+            for letter, tgts in _successors(fst.arcs, cur).items():
                 nxt.setdefault(w + (letter,), set()).update(tgts)
         frontier = {w: frozenset(s) for w, s in nxt.items()}
         if len(frontier) > MAX_WORDS:

@@ -27,12 +27,13 @@ from .formats import symbol_from_text
 from .fst import (
     EPS,
     Fst,
-    Graph,
     Letter,
     Word,
+    close_silent,
     compose,
     compose_steps,
     counterexample,
+    explore,
     intersect,
     invert,
     is_prefix_closed,
@@ -74,12 +75,13 @@ def supervised_language(p: Fst, s: Fst, a_s: Fst, a_a: Fst) -> Fst:
 def verify_resilient(p: Fst, s: Fst, a_s: Fst, a_a: Fst, m_k: Fst) -> SynthesisResult:
     """Whether supervised_language(p, s, a_s, a_a) equals L(m_k).
 
-    counterexample walks the loop on the fly, so no machine is built. A
-    loop node is (a_s state, s state, a_a state, p state). Its moves are
-    those of compose(compose(a_s, s), a_a), silent ones included, taken
-    together with a plant step on the inverted letter; a silent move
-    leaves the plant where it is. A node accepts when all four states are
-    final.
+    The loop is numbered once, its silent steps are closed, and
+    counterexample compares it with m_k, so no machine is built. A loop
+    node is (a_s state, s state, a_a state, p state). Its moves are those
+    of compose(compose(a_s, s), a_a), silent ones included, taken together
+    with a plant step on the inverted letter; a silent move leaves the
+    plant where it is. A node accepts when all four states are final.
+    Every reachable node counts against the bound of the equivalence check.
     """
 
     def moves(node):
@@ -93,12 +95,13 @@ def verify_resilient(p: Fst, s: Fst, a_s: Fst, a_a: Fst, m_k: Fst) -> SynthesisR
                 if pi == o and po == i:
                     yield (o, i), (x2, y2, z2, w2)
 
-    def final(node):
-        x, y, z, w = node
-        return x in a_s.finals and y in s.finals and z in a_a.finals and w in p.finals
-
-    loop = Graph((a_s.initial, s.initial, a_a.initial, p.initial), moves, final)
-    witness = counterexample(loop, m_k)
+    start = (a_s.initial, s.initial, a_a.initial, p.initial)
+    order, edges = explore(start, moves, "equivalence check")
+    finals = {
+        k for k, (x, y, z, w) in enumerate(order)
+        if x in a_s.finals and y in s.finals and z in a_a.finals and w in p.finals
+    }
+    witness = counterexample(close_silent(edges, finals), m_k)
     return SynthesisResult(supervisor=s, resilient=witness is None, witness=witness)
 
 

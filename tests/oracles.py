@@ -24,8 +24,8 @@ from fstlearn.fst import (
     SampleSet,
     Word,
     _canonical,
-    _explore,
     _successors,
+    explore,
     language_upto,
     minimize,
     trim,
@@ -287,10 +287,10 @@ def ref_determinize(fst: Fst):
     """
 
     def moves(sub):
-        succ = _successors(fst, sub)
+        succ = _successors(fst.arcs, sub)
         return [(letter, frozenset(succ[letter])) for letter in sorted(succ)]
 
-    order, edges = _explore(frozenset([fst.initial]), moves, "determinization")
+    order, edges = explore(frozenset([fst.initial]), moves, "determinization")
     finals = {k for k, sub in enumerate(order) if sub & fst.finals}
     return [dict(out) for out in edges], finals
 
@@ -356,7 +356,7 @@ def ref_counterexample(a: Fst, b: Fst) -> Word | None:
     def differ(node):
         return (node[0] in fa) != (node[1] in fb)
 
-    order, edges = _explore((0, 0), moves, "equivalence check", differ)
+    order, edges = explore((0, 0), moves, "equivalence check", differ)
     k = len(edges)
     if k == len(order):
         return None

@@ -31,9 +31,9 @@ from fstlearn import (
     minimize,
     pattern_to_fst,
     trim,
+    verify_resilient,
 )
 from fstlearn import fst as fst_module
-from fstlearn.fst import Graph
 from oracles import (
     PAIR_LETTERS,
     ref_accepts,
@@ -599,6 +599,11 @@ def _ring_with_detour(n: int) -> Fst:
     return _machine(ring.transitions | detour, ring.finals)
 
 
+def _ring_loop():
+    """A plant 4-ring and a supervisor 3-ring between identity attackers: a loop of 12 nodes."""
+    return _ring(4), _ring(3), _ring(1), _ring(1)
+
+
 class TestStateBound:
     @pytest.mark.parametrize(
         "build, needed, what",
@@ -608,8 +613,9 @@ class TestStateBound:
             (lambda: minimize(_ring(5)), 5, "determinization"),
             (lambda: is_prefix_closed(_ring_with_detour(5)), 5, "determinization"),
             (lambda: counterexample(_ring(3), _ring(4)), 12, "equivalence check"),
+            (lambda: verify_resilient(*_ring_loop(), _ring(1)), 12, "equivalence check"),
         ],
-        ids=["compose", "intersect", "minimize", "is_prefix_closed", "counterexample"],
+        ids=["compose", "intersect", "minimize", "is_prefix_closed", "counterexample", "verify_resilient"],
     )
     def test_bound_admits_exactly_the_nodes_needed(self, monkeypatch, build, needed, what):
         monkeypatch.setattr(fst_module, "MAX_STATES", needed)
@@ -617,16 +623,6 @@ class TestStateBound:
         monkeypatch.setattr(fst_module, "MAX_STATES", needed - 1)
         with pytest.raises(ResourceLimitError, match=f"^{what} exceeded the {needed - 1}-state bound$"):
             build()
-
-    def test_graph_nodes_count_against_the_bound(self, monkeypatch):
-        # A silent chain of five nodes is one subset, but five nodes taken up.
-        chain = Graph(0, lambda n: [(None, n + 1)] if n < 4 else [], lambda n: n == 4)
-        empty_word_only = Fst(("0",), "0", frozenset(), frozenset({"0"}))
-        monkeypatch.setattr(fst_module, "MAX_STATES", 5)
-        assert counterexample(chain, empty_word_only) is None
-        monkeypatch.setattr(fst_module, "MAX_STATES", 4)
-        with pytest.raises(ResourceLimitError, match="^equivalence check exceeded the 4-state bound$"):
-            counterexample(chain, empty_word_only)
 
     def test_counterexample_stops_at_the_first_difference(self, monkeypatch):
         # The product of these rings is one cycle of 10 100 nodes, but they
@@ -641,6 +637,16 @@ class TestStateBound:
         monkeypatch.setattr(fst_module, "MAX_STATES", 3)
         empty_word_only = Fst(("0",), "0", frozenset(), frozenset({"0"}))
         assert counterexample(_ring(5), empty_word_only) == (("a", "a"),)
+
+    def test_verify_numbers_every_loop_node_before_it_compares(self, monkeypatch):
+        # The loop differs from the empty word's language at its first
+        # letter, but all 12 of its nodes are numbered first.
+        empty_word_only = Fst(("0",), "0", frozenset(), frozenset({"0"}))
+        monkeypatch.setattr(fst_module, "MAX_STATES", 12)
+        assert verify_resilient(*_ring_loop(), empty_word_only).witness == (("a", "a"),)
+        monkeypatch.setattr(fst_module, "MAX_STATES", 11)
+        with pytest.raises(ResourceLimitError, match="^equivalence check exceeded the 11-state bound$"):
+            verify_resilient(*_ring_loop(), empty_word_only)
 
     def test_prefix_closure_needs_only_the_subsets_up_to_a_rejecting_one(self, monkeypatch):
         monkeypatch.setattr(fst_module, "MAX_STATES", 3)
