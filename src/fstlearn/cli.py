@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import traceback
-from typing import TYPE_CHECKING
 
 from .errors import AnalysisError, FormatError, FstlearnError
 from .formats import (
@@ -28,11 +27,10 @@ from .formats import (
     word_to_text,
 )
 from .fst import EPS, Fst, counterexample
+from .hankel import build_hankel_set, default_mask_len, find_basis, numeric_rank
 from .loop import LoopConfig, format_trace, run, sample_attacker
+from .spectral import LearnResult, learn_pipeline
 from .supervisor import SynthesisResult, pattern_to_fst, synthesize, verify_resilient
-
-if TYPE_CHECKING:  # spectral imports numpy, which only the commands that learn load
-    from .spectral import LearnResult
 
 
 def _load_mk(spec_text: str) -> Fst:
@@ -48,11 +46,12 @@ def _sanitize(symbol: str) -> str:
 
 
 def _dump_learn(res: LearnResult, outdir: str) -> None:
-    import numpy as np
     os.makedirs(outdir, exist_ok=True)
 
-    def save(name: str, mat) -> None:
-        np.savetxt(os.path.join(outdir, name), np.atleast_2d(mat), fmt="%.10g")
+    def save(name: str, mat) -> None:  # as numpy.savetxt(path, atleast_2d(mat), fmt="%.10g")
+        rows = mat.tolist() if mat.ndim == 2 else [mat.tolist()]
+        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+            fh.writelines(" ".join("%.10g" % x for x in row) + "\n" for row in rows)
 
     with open(os.path.join(outdir, "mask.txt"), "w", encoding="utf-8") as fh:
         for w in res.mask.prefixes:
@@ -81,11 +80,10 @@ def pipeline(
     dump_dir: str | None = None,
 ) -> SynthesisResult:
     """Learn both channel attackers, synthesize, and verify."""
-    from . import spectral
     results: dict[str, LearnResult] = {}
     for channel, path in (("sensor", sensor_data_path), ("actuator", actuator_data_path)):
         try:
-            results[channel] = spectral.learn_pipeline(load_dataset(path))
+            results[channel] = learn_pipeline(load_dataset(path))
         except AnalysisError as exc:
             raise type(exc)(
                 exc.stage, f"learning the {channel} attacker model failed: {exc.message}"
@@ -110,7 +108,6 @@ def _verdict(yes: str, witness) -> int:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    from .spectral import learn_pipeline
     res = learn_pipeline(load_dataset(args.data))
     if args.dump_intermediates is not None:
         _dump_learn(res, args.dump_intermediates)
@@ -168,7 +165,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_hankel(args: argparse.Namespace) -> int:
-    from .hankel import build_hankel_set, default_mask_len, find_basis, numeric_rank
     d = load_dataset(args.data)
     if not d.words:
         raise AnalysisError("hankel", "dataset is empty")
@@ -278,12 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pipeline)
 
     return parser
-
-
-def __getattr__(name: str):  # keeps fstlearn.cli.learn_pipeline, which tools wrap, resolving
-    if name != "learn_pipeline":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return sys.modules[__package__].learn_pipeline  # loads spectral on first use
 
 
 def main(argv: list[str] | None = None) -> int:

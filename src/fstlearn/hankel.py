@@ -13,16 +13,20 @@ sampled deterministic ground truth equals the minimal state count; it
 works on that block's distinct nonzero rows and columns only.
 check_closed tests that the H_chi rows do not raise the rank of H_Theta;
 when they do, the data or the mask is too small to support learning.
+Both decide rank exactly, on Python ints; only the float matrices import numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain, product
+from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
 from .fst import SampleSet, Letter, Word, shortlex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TOL_RANK = 1e-9
 TOL_BINARY = 1e-6
@@ -62,19 +66,18 @@ class HankelSet:
         for mat in (self.h_theta, *self.h_chi.values()):
             if mat.shape != shape:
                 raise ValueError(f"matrix shape {mat.shape} does not match mask {shape}")
-            if not np.isin(mat, (0.0, 1.0)).all():
+            if not {*mat.flat} <= {0.0, 1.0}:
                 raise ValueError("Hankel entries must be 0 or 1")
 
 
+def block_rows(d: SampleSet, m: Mask, middle: Word) -> list[tuple[int, ...]]:
+    """Row psi, entry gamma, is 1 iff psi middle gamma is in D."""
+    return [tuple(int(psi + middle + gamma in d.words) for gamma in m.suffixes) for psi in m.prefixes]
+
+
 def _block(d: SampleSet, m: Mask, middle: Word) -> np.ndarray:
-    """Entry (psi, gamma) is 1 iff psi middle gamma is in D."""
-    h = np.zeros((len(m.prefixes), len(m.suffixes)))
-    for r, psi in enumerate(m.prefixes):
-        head = psi + middle
-        for c, gamma in enumerate(m.suffixes):
-            if head + gamma in d.words:
-                h[r, c] = 1.0
-    return h
+    import numpy as np
+    return np.array(block_rows(d, m, middle), dtype=float)
 
 
 def build_h_theta(d: SampleSet, m: Mask) -> np.ndarray:
@@ -97,13 +100,34 @@ def build_hankel_set(d: SampleSet, m: Mask) -> HankelSet:
 def singular_value_rank(sv: np.ndarray) -> int:
     """How many of the descending singular values sv exceed TOL_RANK * max(sv[0], 1)."""
     top = sv[0] if sv.size else 0.0
-    return int(np.sum(sv > TOL_RANK * max(top, 1.0)))
+    return int((sv > TOL_RANK * max(top, 1.0)).sum())
 
 
 def numeric_rank(mat: np.ndarray) -> int:
+    import numpy as np
     if mat.size == 0:
         return 0
     return singular_value_rank(np.linalg.svd(mat, compute_uv=False))
+
+
+def eliminate(rows, cells=None) -> list[tuple[int, int]]:
+    """Fraction-free (Bareiss) Gaussian elimination of the integer matrix rows; returns the pivots.
+
+    It pivots on each nonzero entry met along cells, (row, column) pairs read once, row-major
+    by default: a passed cell must stay zero. Every division is exact. Row-major, the pivot
+    rows are the rows outside the span of the rows above them.
+    """
+    h = [list(map(int, row)) for row in rows]
+    pivots, prev = [], 1
+    for i, j in cells or product(range(len(h)), range(len(h[0]))):
+        if p := h[i][j]:
+            top = h[i][:]
+            for row in h:
+                f = row[j]
+                row[:] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            prev = p
+            pivots.append((i, j))
+    return pivots
 
 
 def default_mask_len(d: SampleSet) -> int:
@@ -126,11 +150,11 @@ def find_basis(d: SampleSet, max_len: int) -> Mask:
     Candidates are the halves of the in-range splits w = psi gamma of
     words in D (max(0, |w| - max_len) <= |psi| <= min(|w|, max_len)),
     cut down to the shortlex-first of each distinct nonzero row, then
-    column; eps leads both. Starting from ([eps],[eps]), Gaussian
-    elimination on that block pivots on the first nonzero entry down the
-    eps column, then along the eps row, then in row-major order, adding
-    each pivot's row and column to the mask if new, until none is left
-    (then the mask's H_Theta has the block's rank).
+    column; eps leads both. Starting from ([eps],[eps]), fraction-free
+    elimination on that block (eliminate) pivots on the first nonzero
+    entry down the eps column, then along the eps row, then in row-major
+    order, adding each pivot's row and column to the mask if new, until
+    none is left (then the mask's H_Theta has the block's rank).
     Deterministic for a fixed D. The cut keeps the full block's mask: a
     zero line never holds a pivot, a repeat acts as its first twin.
     Raises ResourceLimitError before allocating over MAX_BLOCK_CELLS cells.
@@ -150,28 +174,15 @@ def find_basis(d: SampleSet, max_len: int) -> Mask:
             f"Hankel block of {len(pcand)} distinct rows x {len(scand)} distinct columns "
             f"exceeds the {MAX_BLOCK_CELLS}-cell bound"
         )
-    h = np.zeros((len(pcand), len(scand)))
-    for j, s in enumerate(scand):
-        h[rows_of[s], j] = 1.0
 
-    # Eliminate in place: h becomes the Schur complement of the chosen block.
-    rows, cols = {0: None}, {0: None}  # ordered sets of block indices
-    while True:
-        # Pivot on the first entry left down the eps column, the eps row, then row-major.
-        for part in (h[:, :1], h[:1], h):
-            hits = np.argwhere(np.abs(part) > TOL_BINARY)
-            if len(hits):
-                break
-        else:
-            break  # nothing left: the chosen block has the block's rank
-        i, j = map(int, hits[0])
-        rows.setdefault(i)
-        cols.setdefault(j)
-        h -= np.outer(h[:, j], h[i] / h[i, j])
-
+    # Pivot on the first entry left down the eps column, the eps row, then row-major.
+    block, rr, cc = ([s in after[p] for s in scand] for p in pcand), range(len(pcand)), range(len(scand))
+    pivots = [(0, 0)] + eliminate(block, chain(product(rr, [0]), product([0], cc), product(rr, cc)))
+    rows, cols = (dict.fromkeys(ix) for ix in zip(*pivots))  # ordered sets of block indices
     return Mask(tuple(pcand[i] for i in rows), tuple(scand[j] for j in cols))
 
 
 def check_closed(hz: HankelSet) -> bool:
     """True iff the H_chi rows lie in the row space of H_Theta, i.e. do not raise its rank."""
-    return numeric_rank(np.vstack([hz.h_theta, *hz.h_chi.values()])) == numeric_rank(hz.h_theta)
+    mats = (hz.h_theta, *hz.h_chi.values())
+    return all(i < len(hz.h_theta) for i, _ in eliminate(r for m in mats for r in m.tolist()))

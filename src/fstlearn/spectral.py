@@ -10,42 +10,52 @@ a hard error, because a non-natural result means the mask was not a
 basis or the sample set violates the model assumptions.
 
 All steps are deterministic: no randomness, ties broken by row order.
+learn_pipeline takes the same steps exactly, by matching 0/1 rows, without numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import AnalysisError, ClosednessError, DegenerateRankError, NaturalityError
 from .formats import letter_to_text
-from .fst import EPS, Fst, Letter, SampleSet, Word, trim
+from .fst import Fst, Letter, SampleSet, Word, trim
 from .hankel import (
     TOL_BINARY,
     HankelSet,
     Mask,
+    block_rows,
     build_hankel_set,
-    check_closed,
+    check_closed,  # noqa: F401  stays importable as spectral.check_closed, which tracers wrap
     default_mask_len,
+    eliminate,
     find_basis,
     numeric_rank,
     singular_value_rank,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
+# The messages of the learner's gates, shared by the exact and the float stages.
+_NOT_CLOSED = ("an H_chi row leaves the row space of H_Theta: the recordings are too sparse; "
+               "record more or longer attack words")
+_RANK_ZERO = "Hankel block has numeric rank 0; nothing to learn"
+_NOT_NATURAL = ("data does not admit a natural decomposition; the mask is not a basis "
+                "or the samples violate the deterministic-acceptor assumption")
+_NOT_NATURAL_TUPLE = "transition tuple is not natural; no FST to read off"
+
 
 def _snap_binary(arr: np.ndarray) -> np.ndarray | None:
     """Round entries to {0,1} when all are within TOL_BINARY, else None."""
-    out = np.where(
-        np.abs(arr) <= TOL_BINARY, 0.0, np.where(np.abs(arr - 1.0) <= TOL_BINARY, 1.0, np.nan)
-    )
-    if np.isnan(out).any():
-        return None
-    return out
+    near0, near1 = abs(arr) <= TOL_BINARY, abs(arr - 1.0) <= TOL_BINARY
+    return near1 * 1.0 if (near0 | near1).all() else None
 
 
 def _rows_unit_or_zero(binary: np.ndarray) -> bool:
-    return bool(np.all(binary.sum(axis=-1) <= 1.0))
+    return bool((binary.sum(axis=-1) <= 1.0).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +83,7 @@ class Decomposition:
 
     @classmethod
     def from_factors(cls, p: np.ndarray, s: np.ndarray) -> "Decomposition":
+        import numpy as np
         return cls(p=p, s=s, p_pinv=np.linalg.pinv(p), s_pinv=np.linalg.pinv(s))
 
 
@@ -100,24 +111,28 @@ class TransitionTuple:
 
 @dataclass(frozen=True, eq=False)
 class LearnResult:
-    """Every intermediate of one learn_fst run, for dumps and tests."""
+    """The mask and machine of one learn_pipeline run; the float stages over
+    that mask (hankel, raw, natural and b, tup) run on first access."""
 
     sample: SampleSet
     mask: Mask
-    hankel: HankelSet
-    raw: Decomposition
-    b: np.ndarray
-    natural: Decomposition
-    tup: TransitionTuple
     fst: Fst
+
+    hankel = cached_property(lambda self: build_hankel_set(self.sample, self.mask))
+    raw = cached_property(lambda self: full_rank_decompose(self.hankel.h_theta))
+    _naturalized = cached_property(lambda self: naturalize(self.raw))
+    natural = property(lambda self: self._naturalized[0])
+    b = property(lambda self: self._naturalized[1])
+    tup = cached_property(lambda self: extract_tuple(self.hankel, self.natural))
 
 
 def full_rank_decompose(h_theta: np.ndarray) -> Decomposition:
     """Truncated-SVD rank factorization P = U_r Sigma_r, S = V_r^T."""
+    import numpy as np
     u, sv, vt = np.linalg.svd(h_theta)
     r = singular_value_rank(sv)
     if r == 0:
-        raise DegenerateRankError("decompose", "Hankel block has numeric rank 0; nothing to learn")
+        raise DegenerateRankError("decompose", _RANK_ZERO)
     return Decomposition(
         p=u[:, :r] * sv[:r],
         s=vt[:r, :],
@@ -135,6 +150,7 @@ def naturalize(d: Decomposition) -> tuple[Decomposition, np.ndarray]:
     when the rebased factors do not snap or a P row is neither zero nor
     a basis vector.
     """
+    import numpy as np
     p = d.p
     r = d.r
     chosen: list[int] = []
@@ -150,11 +166,7 @@ def naturalize(d: Decomposition) -> tuple[Decomposition, np.ndarray]:
     p_new = _snap_binary(p @ b_inv)
     s_new = _snap_binary(b @ d.s)
     if p_new is None or s_new is None or not _rows_unit_or_zero(p_new):
-        raise NaturalityError(
-            "naturalize",
-            "data does not admit a natural decomposition; the mask is not a basis "
-            "or the samples violate the deterministic-acceptor assumption",
-        )
+        raise NaturalityError("naturalize", _NOT_NATURAL)
     rebased = Decomposition(p=p_new, s=s_new, p_pinv=b @ d.p_pinv, s_pinv=d.s_pinv @ b_inv)
     return rebased, b
 
@@ -205,42 +217,49 @@ def tuple_to_fst(t: TransitionTuple) -> Fst:
     """
     parts = _natural_parts(t)
     if parts is None:
-        raise NaturalityError("naturality", "transition tuple is not natural; no FST to read off")
+        raise NaturalityError("naturality", _NOT_NATURAL_TUPLE)
     t0, t_inf, trans = parts
     transitions = {
         (str(int(src)), chi[0], chi[1], str(int(dst)))
         for chi, mat in trans.items()
-        for src, dst in np.argwhere(mat == 1.0)
+        for src, dst in zip(*(mat == 1.0).nonzero())
     }
     machine = Fst(
         states=tuple(str(k) for k in range(t.r)),
-        initial=str(int(np.argmax(t0))),
+        initial=str(int(t0.argmax())),
         transitions=frozenset(transitions),
-        finals=frozenset(str(int(k)) for k in np.flatnonzero(t_inf == 1.0)),
+        finals=frozenset(str(int(k)) for k in (t_inf == 1.0).nonzero()[0]),
     )
     return trim(machine)
 
 
 def learn_pipeline(d: SampleSet) -> LearnResult:
-    """find_basis -> Hankel set -> closedness gate -> SVD -> naturalize -> FST -> letter gate.
+    """find_basis -> closedness gate -> states -> naturality gates -> FST -> letter gate,
+    exactly, on the 0/1 rows of H_Theta and H_chi; each gate raises what the float stages raise.
 
-    The mask length is hankel.default_mask_len(d), the longest at which
-    every membership query stays within the recorded horizon.
-    """
+    The states are the H_Theta rows outside the span of those above them, eps first. The data
+    is natural iff every H_Theta row is zero or a state's and, per letter, the H_chi rows of
+    each state's class agree on a row that is zero or a state's: its arc. The mask length is
+    hankel.default_mask_len(d)."""
     if not d.words:
         raise AnalysisError("learn", "dataset is empty")
     mask = find_basis(d, default_mask_len(d))
-    hz = build_hankel_set(d, mask)
-    if not check_closed(hz):
-        raise ClosednessError(
-            "closedness",
-            "an H_chi row leaves the row space of H_Theta: the recordings are too sparse; "
-            "record more or longer attack words",
-        )
-    raw = full_rank_decompose(hz.h_theta)
-    natural, b = naturalize(raw)
-    tup = extract_tuple(hz, natural)
-    fst = tuple_to_fst(tup)
+    theta = block_rows(d, mask, ())
+    shifted = {chi: block_rows(d, mask, (chi,)) for chi in d.alphabet}
+    chosen = [i for i, _ in eliminate(theta + [row for rows in shifted.values() for row in rows])]
+    if chosen and chosen[-1] >= len(theta):
+        raise ClosednessError("closedness", _NOT_CLOSED)
+    if not chosen:
+        raise DegenerateRankError("decompose", _RANK_ZERO)
+    zero, state = (0,) * len(mask.suffixes), {theta[i]: str(k) for k, i in enumerate(chosen)}
+    if not {*state, zero} >= set(theta):
+        raise NaturalityError("naturalize", _NOT_NATURAL)
+    moves = {(state[src], chi, row) for chi, rows in shifted.items()
+             for src, row in zip(theta, rows) if src != zero}
+    if chosen[0] or len({m[:2] for m in moves}) < len(moves) or not {*state, zero} >= {m[2] for m in moves}:
+        raise NaturalityError("naturality", _NOT_NATURAL_TUPLE)
+    arcs = frozenset((src, *chi, state[row]) for src, chi, row in moves if row != zero)
+    fst = trim(Fst(tuple(state.values()), "0", arcs, frozenset(state[row] for row in state if row[0])))
     # A recorded letter that no arc carries makes some recording rejected.
     carried = fst.letters()
     lost = next((chi for chi in d.alphabet if chi not in carried), None)
@@ -250,7 +269,7 @@ def learn_pipeline(d: SampleSet) -> LearnResult:
             f"the learned model has no arc for the recorded letter {letter_to_text(lost)}, "
             "so it rejects a recording; record more or longer attack words",
         )
-    return LearnResult(sample=d, mask=mask, hankel=hz, raw=raw, b=b, natural=natural, tup=tup, fst=fst)
+    return LearnResult(sample=d, mask=mask, fst=fst)
 
 
 def learn_fst(d: SampleSet) -> Fst:

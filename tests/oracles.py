@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +31,18 @@ from fstlearn.fst import (
     minimize,
     trim,
 )
-from fstlearn.hankel import TOL_BINARY, HankelSet, Mask, numeric_rank
+import fstlearn.hankel
+from fstlearn.errors import AnalysisError, ClosednessError, ResourceLimitError
+from fstlearn.formats import letter_to_text
+from fstlearn.hankel import (
+    TOL_BINARY,
+    HankelSet,
+    Mask,
+    build_hankel_set,
+    default_mask_len as _default_mask_len,
+    numeric_rank,
+)
+from fstlearn.spectral import extract_tuple, full_rank_decompose, naturalize, tuple_to_fst
 from fstlearn.supervisor import SynthesisResult, counterexample, supervised_language
 
 
@@ -115,7 +127,7 @@ def _shortlex(words) -> list:
     return sorted(words, key=lambda w: (len(w), w))
 
 
-def ref_find_basis(d: SampleSet, max_len: int) -> Mask:
+def ref_find_basis_full_block(d: SampleSet, max_len: int) -> Mask:
     """find_basis on the full candidate block: every split, no dedupe.
 
     Greedy rank-maximizing mask over prefixes/suffixes of D.
@@ -187,6 +199,92 @@ def ref_find_basis(d: SampleSet, max_len: int) -> Mask:
         prefixes=tuple(pcand[i] for i in rows),
         suffixes=tuple(scand[j] for j in cols),
     )
+
+
+# The learner's float path as it was before rank and row matching became
+# exact: find_basis eliminating on floats against TOL_BINARY, check_closed
+# comparing numeric ranks, and learn_pipeline through the SVD,
+# naturalize, extract_tuple and tuple_to_fst stages.
+
+
+def _first_of_each(words, key) -> list[Word]:
+    """The shortlex-first word of each distinct key(word), in shortlex order."""
+    first: dict = {}
+    for w in _shortlex(words):
+        first.setdefault(key(w), w)
+    return list(first.values())
+
+
+def ref_find_basis(d: SampleSet, max_len: int) -> Mask:
+    """find_basis by float Gaussian elimination on the distinct block."""
+    after: dict[Word, set[Word]] = {(): set()}  # prefix -> the suffixes completing it in D
+    for w in d.words:
+        for k in range(max(0, len(w) - max_len), min(len(w), max_len) + 1):
+            after.setdefault(w[:k], set()).add(w[k:])
+    pcand = _first_of_each(after, lambda p: frozenset(after[p]))
+    rows_of: dict[Word, list[int]] = {(): []}  # suffix -> the kept rows holding it
+    for i, p in enumerate(pcand):
+        for s in after[p]:
+            rows_of.setdefault(s, []).append(i)
+    scand = _first_of_each(rows_of, lambda s: tuple(rows_of[s]))
+    if len(pcand) * len(scand) > fstlearn.hankel.MAX_BLOCK_CELLS:
+        raise ResourceLimitError(
+            f"Hankel block of {len(pcand)} distinct rows x {len(scand)} distinct columns "
+            f"exceeds the {fstlearn.hankel.MAX_BLOCK_CELLS}-cell bound"
+        )
+    h = np.zeros((len(pcand), len(scand)))
+    for j, s in enumerate(scand):
+        h[rows_of[s], j] = 1.0
+
+    # Eliminate in place: h becomes the Schur complement of the chosen block.
+    rows, cols = {0: None}, {0: None}  # ordered sets of block indices
+    while True:
+        # Pivot on the first entry left down the eps column, the eps row, then row-major.
+        for part in (h[:, :1], h[:1], h):
+            hits = np.argwhere(np.abs(part) > TOL_BINARY)
+            if len(hits):
+                break
+        else:
+            break  # nothing left: the chosen block has the block's rank
+        i, j = map(int, hits[0])
+        rows.setdefault(i)
+        cols.setdefault(j)
+        h -= np.outer(h[:, j], h[i] / h[i, j])
+
+    return Mask(tuple(pcand[i] for i in rows), tuple(scand[j] for j in cols))
+
+
+def ref_check_closed_by_rank(hz: HankelSet) -> bool:
+    """True iff the H_chi rows do not raise the numeric rank of H_Theta."""
+    return numeric_rank(np.vstack([hz.h_theta, *hz.h_chi.values()])) == numeric_rank(hz.h_theta)
+
+
+def ref_learn_pipeline(d: SampleSet) -> SimpleNamespace:
+    """learn_pipeline through the float stages; returns every intermediate."""
+    if not d.words:
+        raise AnalysisError("learn", "dataset is empty")
+    mask = ref_find_basis(d, _default_mask_len(d))
+    hz = build_hankel_set(d, mask)
+    if not ref_check_closed_by_rank(hz):
+        raise ClosednessError(
+            "closedness",
+            "an H_chi row leaves the row space of H_Theta: the recordings are too sparse; "
+            "record more or longer attack words",
+        )
+    raw = full_rank_decompose(hz.h_theta)
+    natural, b = naturalize(raw)
+    tup = extract_tuple(hz, natural)
+    fst = tuple_to_fst(tup)
+    # A recorded letter that no arc carries makes some recording rejected.
+    carried = fst.letters()
+    lost = next((chi for chi in d.alphabet if chi not in carried), None)
+    if lost is not None:
+        raise AnalysisError(
+            "consistency",
+            f"the learned model has no arc for the recorded letter {letter_to_text(lost)}, "
+            "so it rejects a recording; record more or longer attack words",
+        )
+    return SimpleNamespace(sample=d, mask=mask, hankel=hz, raw=raw, b=b, natural=natural, tup=tup, fst=fst)
 
 
 def ref_check_closed(hz: HankelSet) -> bool:

@@ -1,5 +1,4 @@
-"""The package's public names: every one resolves, whether it is imported
-when the package loads or, for the numpy-backed learner, on first use."""
+"""The package's public names: every one resolves when the package loads."""
 
 from __future__ import annotations
 

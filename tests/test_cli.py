@@ -550,14 +550,16 @@ class TestHashSeedIndependence:
 
 class TestNumpyLoadsOnlyToLearn:
     # A fresh interpreter runs one command through main and reports its
-    # exit code and whether numpy was imported along the way.
+    # exit code and whether numpy was imported along the way. Learning is
+    # exact; only the float matrices of hankel and of the dumped
+    # intermediates need numpy.
     CHILD = ("import sys; from fstlearn.cli import main; "
              "code = main(sys.argv[1:]); print(code, 'numpy' in sys.modules)")
 
     @pytest.mark.parametrize(
         "command, loads_numpy",
         [("verify", False), ("simulate", False), ("synth", False), ("equiv", False), ("sample", False),
-         ("learn", True)],
+         ("learn", False), ("pipeline", False), ("learn-dump", True), ("hankel", True)],
     )
     def test_only_learning_imports_numpy(self, tmp_path, golden_supervisor_file, command, loads_numpy):
         argv = {
@@ -570,9 +572,14 @@ class TestNumpyLoadsOnlyToLearn:
             "equiv": [ATTACKER, ATTACKER],
             "sample": ["--attacker", ATTACKER, "--out", str(tmp_path / "recorded.txt")],
             "learn": ["--data", ATTACKER_DATA, "--out", str(tmp_path / "attacker.fst")],
+            "pipeline": ["--sensor-data", SENSOR_DATA, "--actuator-data", ATTACKER_DATA, "--plant", PLANT,
+                         "--mk", MK],
+            "learn-dump": ["--data", ATTACKER_DATA, "--out", str(tmp_path / "attacker.fst"),
+                           "--dump-intermediates", str(tmp_path / "dump")],
+            "hankel": ["--data", ATTACKER_DATA],
         }[command]
         proc = subprocess.run(
-            [sys.executable, "-c", self.CHILD, command, *argv],
+            [sys.executable, "-c", self.CHILD, command.split("-")[0], *argv],
             env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

@@ -6,12 +6,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fstlearn import (
     AnalysisError,
     ClosednessError,
     Decomposition,
     DegenerateRankError,
+    EPS,
+    FstlearnError,
     Mask,
     NaturalityError,
     SampleSet,
@@ -20,6 +24,8 @@ from fstlearn import (
     equivalent,
     eval_tuple,
     extract_tuple,
+    find_basis,
+    fst_to_text,
     full_rank_decompose,
     is_natural,
     language_upto,
@@ -37,7 +43,7 @@ from conftest import (
     GOLDEN_H_THETA,
     GOLDEN_MASK,
 )
-from oracles import random_attacker
+from oracles import PAIR_LETTERS, random_attacker, ref_find_basis, ref_learn_pipeline
 
 import random
 
@@ -332,3 +338,61 @@ class TestLearnPipeline:
         with pytest.raises(ClosednessError) as err:
             learn_fst(SampleSet.from_words([(CHI1,)]))
         assert err.value.stage == "closedness"
+
+
+XU, YU, XV, YV = ("x", "u"), ("y", "u"), ("x", "v"), ("y", "v")
+# All words of the five-state machine of test_hankel.TestRankDeficientMachine.
+RANK_DEFICIENT_WORDS = frozenset(
+    {(), (XU,), (XU, XU), (XV,), (XV, XU), (XV, YU), (YU,), (YU, YU)}
+)
+
+# No word is within the mask length, so the eps row of H_Theta is zero: not natural.
+EPS_ROW_ZERO_WORDS = frozenset(
+    {(YV, XU, XU, ("x", EPS)), (XU, XU, YV, XU, (EPS, "u"), (EPS, "u"))}
+)
+
+
+def learn_outcome(learn, d: SampleSet) -> tuple:
+    """The mask and .fst text a learner returns, or the error it raises."""
+    try:
+        res = learn(d)
+    except FstlearnError as exc:
+        return type(exc).__name__, getattr(exc, "stage", None), str(exc)
+    return res.mask, fst_to_text(res.fst)
+
+
+class TestExactAgainstFloat:
+    """learn_pipeline decides rank, basis and tuple by exact row matching;
+    oracles.ref_learn_pipeline is the float SVD/pinv path it replaced.
+    Both must give the same mask and machine, or the same error."""
+
+    @given(
+        words=st.frozensets(
+            st.lists(st.sampled_from(PAIR_LETTERS[:2] + (("x", EPS), (EPS, "u"))), max_size=6).map(tuple),
+            max_size=8,
+        ),
+        prefix_closed=st.booleans(),
+    )
+    @example(words=DEMO_WORDS, prefix_closed=False)
+    @example(words=RANK_DEFICIENT_WORDS, prefix_closed=False)
+    @example(words=EPS_ROW_ZERO_WORDS, prefix_closed=False)
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_the_float_path(self, words, prefix_closed):
+        if prefix_closed:
+            words = {w[:k] for w in words for k in range(len(w) + 1)}
+        d = SampleSet.from_words(words)
+        assert learn_outcome(learn_pipeline, d) == learn_outcome(ref_learn_pipeline, d)
+        for max_len in range(4):
+            assert find_basis(d, max_len) == ref_find_basis(d, max_len)
+
+    @pytest.mark.parametrize("words", [DEMO_WORDS, RANK_DEFICIENT_WORDS], ids=["demo", "rank-deficient"])
+    def test_lazy_float_stages_are_the_float_paths(self, words):
+        d = SampleSet.from_words(words)
+        res, ref = learn_pipeline(d), ref_learn_pipeline(d)
+        assert np.array_equal(res.hankel.h_theta, ref.hankel.h_theta)
+        assert np.array_equal(res.raw.p, ref.raw.p)
+        assert np.array_equal(res.b, ref.b)
+        assert np.array_equal(res.natural.s, ref.natural.s)
+        for chi, mat in ref.tup.trans.items():
+            assert np.array_equal(res.tup.trans[chi], mat)
+        assert tuple_to_fst(res.tup) == res.fst
