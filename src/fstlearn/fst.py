@@ -101,9 +101,16 @@ class Fst:
             adj[s].append((i, o, d))
         return MappingProxyType({s: tuple(sorted(moves)) for s, moves in adj.items()})
 
+    @classmethod
+    def _trusted(cls, states, initial, transitions, finals, **memo) -> "Fst":
+        """A machine from parts already valid, unchecked; memo prefills arcs and trimmed (see trim)."""
+        m = object.__new__(cls)
+        m.__dict__.update(states=states, initial=initial, transitions=transitions, finals=finals, **memo)
+        return m
+
     def __getstate__(self):
-        # A mappingproxy cannot be pickled; the index is rebuilt on first use.
-        return {k: v for k, v in self.__dict__.items() if k != "arcs"}
+        # A mappingproxy cannot be pickled; the indexes are rebuilt on first use.
+        return {k: v for k, v in self.__dict__.items() if k not in ("arcs", "trimmed")}
 
     def letters(self) -> set[Letter]:
         """Distinct pair letters appearing on explicit transitions."""
@@ -224,11 +231,8 @@ def accepts(fst: Fst, w: Word) -> bool:
 
 def invert(fst: Fst) -> Fst:
     """Swap input and output on every transition; state set unchanged."""
-    return Fst(
-        states=fst.states,
-        initial=fst.initial,
-        transitions=frozenset((s, o, i, d) for (s, i, o, d) in fst.transitions),
-        finals=fst.finals,
+    return Fst._trusted(
+        fst.states, fst.initial, frozenset((s, o, i, d) for (s, i, o, d) in fst.transitions), fst.finals
     )
 
 
@@ -237,8 +241,13 @@ def trim(fst: Fst) -> Fst:
 
     State names are preserved, and a machine that loses no state is
     returned as it is. If the language is empty the canonical single-state
-    machine with no finals is returned.
+    machine with no finals is returned. The answer is remembered as the
+    machine's trimmed index: the trimmed machine, or True for a trim one,
+    so that no machine refers to itself.
     """
+    memo = fst.__dict__.get("trimmed")
+    if memo is not None:
+        return fst if memo is True else memo
     reach = set(_reachable(fst))
     back: dict[str, set[str]] = {}
     for (s, _, _, d) in fst.transitions:
@@ -253,29 +262,52 @@ def trim(fst: Fst) -> Fst:
                 dq.append(p)
     keep = reach & co
     if fst.initial not in keep:
-        return Fst(("0",), "0", frozenset(), frozenset())
-    if len(keep) == len(fst.states):
-        return fst
-    return Fst(
-        states=tuple(s for s in fst.states if s in keep),
-        initial=fst.initial,
-        transitions=frozenset(t for t in fst.transitions if t[0] in keep and t[3] in keep),
-        finals=frozenset(s for s in fst.finals if s in keep),
-    )
+        t = Fst._trusted(("0",), "0", frozenset(), frozenset(), trimmed=True)
+    elif len(keep) == len(fst.states):
+        t = fst
+    else:
+        kept = frozenset(tr for tr in fst.transitions if tr[0] in keep and tr[3] in keep)
+        states = tuple(s for s in fst.states if s in keep)
+        t = Fst._trusted(states, fst.initial, kept, fst.finals & keep, trimmed=True)
+    fst.__dict__["trimmed"] = True if t is fst else t
+    return t
 
 
-def _canonical(fst: Fst) -> Fst:
-    """Rename states 0..n-1 in BFS discovery order for byte-stable output.
+def _machine(arcs, finals, initial=0) -> Fst:
+    """The trim machine of a numbered graph, built once with its arcs index and trim flag.
 
-    Every state must be reachable, as in trim's and minimize's results.
+    arcs[k] lists node k's (in, out, target) moves, as close_silent gives
+    them. The nodes reachable from initial that reach one in finals are
+    named "0".."n-1" in BFS order over moves sorted by (in, out, str(target)).
     """
-    order = _reachable(fst)
-    name = {s: str(k) for k, s in enumerate(order)}
-    return Fst(
-        states=tuple(name[s] for s in order),
-        initial=name[fst.initial],
-        transitions=frozenset((name[s], i, o, name[d]) for (s, i, o, d) in fst.transitions),
-        finals=frozenset(name[s] for s in fst.finals),
+    back = [[] for _ in arcs]
+    for k, moves in enumerate(arcs):
+        for (_, _, t) in moves:
+            back[t].append(k)
+    live = set(finals)
+    stack = list(live)
+    while stack:
+        for p in back[stack.pop()]:
+            if p not in live:
+                live.add(p)
+                stack.append(p)
+    if initial not in live:
+        return Fst._trusted(("0",), "0", frozenset(), frozenset(), trimmed=True)
+    order = [initial]
+    name = {initial: "0"}
+    for k in order:
+        for (_, _, t) in sorted(arcs[k], key=lambda m: (m[0], m[1], str(m[2]))):
+            if t in live and t not in name:
+                name[t] = str(len(order))
+                order.append(t)
+    index = {name[k]: tuple(sorted({(i, o, name[t]) for (i, o, t) in arcs[k] if t in name})) for k in name}
+    return Fst._trusted(
+        tuple(index),
+        "0",
+        frozenset((s, i, o, d) for s, moves in index.items() for (i, o, d) in moves),
+        frozenset(name[k] for k in finals if k in name),
+        arcs=MappingProxyType(index),
+        trimmed=True,
     )
 
 
@@ -340,12 +372,7 @@ def close_silent(edges, finals) -> SimpleNamespace:
 def remove_silent(edges, finals) -> Fst:
     """The trimmed, canonically named machine of close_silent(edges, finals)."""
     closed = close_silent(edges, finals)
-    names = [str(k) for k in range(len(edges))]
-    transitions = frozenset(
-        (names[k], i, o, names[t]) for k, moves in enumerate(closed.arcs) for (i, o, t) in moves
-    )
-    raw = Fst(tuple(names), "0", transitions, frozenset(names[k] for k in closed.finals))
-    return _canonical(trim(raw))
+    return _machine(closed.arcs, closed.finals)
 
 
 def compose_steps(a_arcs, b_arcs, p, q):
@@ -427,12 +454,10 @@ def minimize(fst: Fst) -> Fst:
 
     Moore partition refinement straight on the subset construction of the
     trimmed machine, where a missing letter is its own signature entry; no
-    subset is dead, so the result is trim. It is canonically named. The
-    empty language minimizes to the single-state machine with no finals.
+    subset is dead. The class graph is named by _machine. The empty
+    language minimizes to the single-state machine with no finals.
     """
     t = trim(fst)
-    if not t.finals:
-        return Fst(("0",), "0", frozenset(), frozenset())
     order, edges = _subsets(t)
     cls = [1 if sub & t.finals else 0 for sub in order]
     while True:
@@ -444,14 +469,9 @@ def minimize(fst: Fst) -> Fst:
         if new == cls:
             break
         cls = new
-    transitions = frozenset(
-        (str(cls[k]), letter[0], letter[1], str(cls[d]))
-        for k, out in enumerate(edges)
-        for letter, d in out
-    )
-    finals = frozenset(str(c) for c, sub in zip(cls, order) if sub & t.finals)
-    raw = Fst(tuple(str(c) for c in sorted(set(cls))), str(cls[0]), transitions, finals)
-    return _canonical(raw)
+    member = {c: k for k, c in enumerate(cls)}  # the subsets of a class share their moves
+    arcs = [[(i, o, cls[d]) for (i, o), d in edges[member[c]]] for c in range(len(member))]
+    return _machine(arcs, {c for c, sub in zip(cls, order) if sub & t.finals}, cls[0])
 
 
 def counterexample(a, b) -> Word | None:
@@ -508,13 +528,13 @@ def language_upto(fst: Fst, n: int) -> set[Word]:
             raise ResourceLimitError(f"language enumeration exceeded {MAX_WORDS} words")
         if length == n:
             break
-        nxt: dict[Word, set[str]] = {}
+        nxt: dict[Word, frozenset[str]] = {}
         for w, cur in frontier.items():
             for letter, tgts in _successors(fst.arcs, cur).items():
-                nxt.setdefault(w + (letter,), set()).update(tgts)
-        frontier = {w: frozenset(s) for w, s in nxt.items()}
-        if len(frontier) > MAX_WORDS:
-            raise ResourceLimitError(f"language enumeration exceeded {MAX_WORDS} words")
+                if len(nxt) >= MAX_WORDS:  # checked before the next word is kept
+                    raise ResourceLimitError(f"language enumeration exceeded {MAX_WORDS} words")
+                nxt[w + (letter,)] = frozenset(tgts)
+        frontier = nxt
     return result
 
 

@@ -24,8 +24,9 @@ from fstlearn.fst import (
     Letter,
     SampleSet,
     Word,
-    _canonical,
+    _reachable,
     _successors,
+    close_silent,
     explore,
     language_upto,
     minimize,
@@ -370,6 +371,37 @@ def spectral_ground_truth(seed: int, max_states: int = 5) -> tuple[Fst, set]:
             return machine, words
 
 
+# Machine naming as it was before one builder trimmed and named on node
+# numbers: a raw machine with a state per node, trimmed, then renamed in
+# BFS order by a second construction, every one through Fst's checks.
+
+
+def ref_canonical(fst: Fst) -> Fst:
+    """Rename states 0..n-1 in BFS discovery order for byte-stable output.
+
+    Every state must be reachable, as in trim's and minimize's results.
+    """
+    order = _reachable(fst)
+    name = {s: str(k) for k, s in enumerate(order)}
+    return Fst(
+        states=tuple(name[s] for s in order),
+        initial=name[fst.initial],
+        transitions=frozenset((name[s], i, o, name[d]) for (s, i, o, d) in fst.transitions),
+        finals=frozenset(name[s] for s in fst.finals),
+    )
+
+
+def ref_remove_silent(edges, finals) -> Fst:
+    """The trimmed, canonically named machine of close_silent(edges, finals)."""
+    closed = close_silent(edges, finals)
+    names = [str(k) for k in range(len(edges))]
+    transitions = frozenset(
+        (names[k], i, o, names[t]) for k, moves in enumerate(closed.arcs) for (i, o, t) in moves
+    )
+    raw = Fst(tuple(names), "0", transitions, frozenset(names[k] for k in closed.finals))
+    return ref_canonical(trim(raw))
+
+
 # The subset-construction consumers as they were before they walked the
 # subsets on the fly: a full determinized table first, then a second walk
 # over it (minimize over a total table with an explicit sink row,
@@ -426,7 +458,7 @@ def ref_minimize(fst: Fst) -> Fst:
             transitions.add((str(cls[k]), l[0], l[1], str(cls[total[k][li]])))
     finals = frozenset(str(cls[k]) for k in dfinals)
     raw = Fst(states, str(cls[0]), frozenset(transitions), finals)
-    return _canonical(trim(raw))
+    return ref_canonical(trim(raw))
 
 
 def ref_counterexample(a: Fst, b: Fst) -> Word | None:

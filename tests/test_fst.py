@@ -4,8 +4,12 @@ intersection, trim, minimization, equivalence, bounded enumeration."""
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 import re
+import tracemalloc
+import warnings
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +34,12 @@ from fstlearn import (
     language_upto,
     minimize,
     pattern_to_fst,
+    synthesize,
     trim,
     verify_resilient,
 )
 from fstlearn import fst as fst_module
+from fstlearn import supervisor as supervisor_module
 from oracles import (
     PAIR_LETTERS,
     ref_accepts,
@@ -42,6 +48,7 @@ from oracles import (
     ref_is_prefix_closed,
     ref_language_upto,
     ref_minimize,
+    ref_remove_silent,
 )
 
 EPS_LETTERS = (("x", EPS), (EPS, "u"))
@@ -54,6 +61,14 @@ def assert_well_formed(m: Fst) -> None:
     for (src, i, o, dst) in m.transitions:
         assert src in state_set and dst in state_set
         assert (i, o) != (EPS, EPS)
+
+
+def assert_built_as_checked(m: Fst) -> None:
+    """The trusted build gives what Fst's checks, its index and trim would."""
+    rebuilt = Fst(m.states, m.initial, m.transitions, m.finals)
+    assert rebuilt == m
+    assert rebuilt.arcs == m.arcs
+    assert trim(rebuilt) == m
 
 
 @st.composite
@@ -146,9 +161,16 @@ class TestConstruction:
             finals=frozenset({"1"}),
         )
         assert m.arcs["0"] == (("x", "u", "1"), ("y", EPS, "0"))
-        for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
-            assert twin == m
-            assert twin.arcs == m.arcs
+        # A builder-made machine comes with its index and its trim flag; an
+        # untrimmed one remembers its trimmed machine once trim has run.
+        built = compose(m, identity_fst(["u"]))
+        untrimmed = Fst(m.states + ("2",), m.initial, m.transitions, m.finals)
+        assert trim(untrimmed) != untrimmed
+        for machine in (m, built, untrimmed):
+            for twin in (pickle.loads(pickle.dumps(machine)), copy.deepcopy(machine)):
+                assert twin == machine
+                assert twin.arcs == machine.arcs
+                assert trim(twin) == trim(machine)
 
     def test_first_bad_symbol_in_sorted_order_is_reported(self):
         # Independent of set iteration order, hence of PYTHONHASHSEED.
@@ -467,6 +489,20 @@ class TestBoundedLanguage:
             (("a1", "a3"), ("a1", "a2")),
         }
 
+    def test_word_bound_is_checked_before_the_frontier_is_built(self, monkeypatch):
+        # One state and 300 letters: the words of length 2 would be 90 000
+        # (about 60 MB); the bound stops the frontier at its 1 001st word.
+        m = Fst(("0",), "0", frozenset(("0", f"a{k}", "u", "0") for k in range(300)), frozenset({"0"}))
+        monkeypatch.setattr(fst_module, "MAX_WORDS", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="^language enumeration exceeded 1000 words$"):
+                language_upto(m, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
     def test_word_bound_admits_exactly_the_words_kept(self, monkeypatch, demo_attacker):
         monkeypatch.setattr(fst_module, "MAX_WORDS", 5)
         assert len(language_upto(demo_attacker, 2)) == 5
@@ -659,7 +695,9 @@ class TestAgainstDeterminizedTables:
     @settings(deadline=None, max_examples=100)
     @given(machines(max_states=5, letters=PAIR_LETTERS + EPS_LETTERS))
     def test_minimize_text(self, m):
-        assert fst_to_text(minimize(m)) == fst_to_text(ref_minimize(m))
+        small = minimize(m)
+        assert fst_to_text(small) == fst_to_text(ref_minimize(m))
+        assert_built_as_checked(small)
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -678,3 +716,100 @@ class TestAgainstDeterminizedTables:
         # Random finals rarely give a closed language; all-final machines always do.
         closed = Fst(m.states, m.initial, m.transitions, frozenset(m.states))
         assert is_prefix_closed(closed) == ref_is_prefix_closed(closed)
+
+
+LETTER_TEXTS = ("(x:u)", "(y:v)", "(x:<eps>)", "(<eps>:u)")
+
+
+def _starred(items):
+    return st.tuples(items, st.booleans()).map(lambda p: p[0] + "*" * p[1])
+
+
+# Patterns over letters with eps on either side: letters and groups, each
+# possibly starred, nested.
+PATTERNS = st.lists(
+    _starred(
+        st.recursive(
+            st.sampled_from(LETTER_TEXTS),
+            lambda inner: st.lists(_starred(inner), min_size=1, max_size=3).map(lambda xs: "(" + "".join(xs) + ")"),
+            max_leaves=6,
+        )
+    ),
+    max_size=4,
+).map("".join)
+
+
+def _on_the_reference_path(build, *args):
+    """build(*args) with machines named as before the one builder: a raw
+    machine, trim, then a renaming, each built through Fst's checks."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # synthesize on a language that is not prefix-closed
+        mp.setattr(fst_module, "remove_silent", ref_remove_silent)
+        mp.setattr(supervisor_module, "remove_silent", ref_remove_silent)
+        mp.setattr(supervisor_module, "minimize", ref_minimize)
+        return build(*args)
+
+
+class TestOneBuilder:
+    """compose, intersect and pattern_to_fst name and build their machines
+    once, on node numbers, with the text of the reference path; minimize's
+    text is checked against ref_minimize above."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        machines(max_states=4, letters=PAIR_LETTERS[:2] + EPS_LETTERS),
+        machines(max_states=4, letters=PAIR_LETTERS[:2] + EPS_LETTERS),
+        machines(max_states=3, letters=PAIR_LETTERS[:2] + EPS_LETTERS),
+    )
+    def test_products_match_the_reference_path(self, a, b, c):
+        for build, args in ((compose, (a, b)), (intersect, (a, b)), (synthesize, (a, b, c))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                made = build(*args)
+            assert fst_to_text(made) == fst_to_text(_on_the_reference_path(build, *args))
+            assert_built_as_checked(made)
+
+    @settings(deadline=None, max_examples=100)
+    @given(PATTERNS)
+    def test_pattern_to_fst_matches_the_reference_path(self, text):
+        made = pattern_to_fst(text)
+        assert fst_to_text(made) == fst_to_text(_on_the_reference_path(pattern_to_fst, text))
+        assert_built_as_checked(made)
+
+    def test_ties_are_broken_on_the_node_number_as_a_string(self):
+        # Node 1 reaches nodes 9 and 10 on one letter: "10" sorts first, so
+        # node 10 is named 2 and node 9, which moves on to it, 3.
+        edges = [[(("x", "u"), 1)]] + [[] for _ in range(10)]
+        edges[1] = [(("y", "v"), 9), (("y", "v"), 10)]
+        edges[9] = [(("x", "v"), 10)]
+        made = fst_module.remove_silent(edges, {10})
+        assert made == ref_remove_silent(edges, {10})
+        assert made.arcs["3"] == (("x", "v", "2"),)
+
+
+def _dead_end() -> Fst:
+    """A machine with a state that reaches no final one, so trim drops it."""
+    return Fst(("0", "1", "2"), "0", frozenset({("0", "x", "u", "1"), ("0", "y", "v", "2")}), frozenset({"1"}))
+
+
+class TestNoReferenceCycles:
+    """Machines are freed by reference counting alone: none refers to itself,
+    so trim's memo on a trim machine is a flag."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: (compose(_ring(3), _ring(2)),),
+            lambda: (minimize(_dead_end()),),
+            lambda: (lambda m: (m, trim(m)))(_ring(3)),
+            lambda: (lambda m: (m, trim(m)))(_dead_end()),
+        ],
+        ids=["compose", "minimize", "trim of a trim machine", "trim of an untrimmed machine"],
+    )
+    def test_results_die_with_their_last_reference(self, build):
+        gc.disable()
+        try:
+            refs = [weakref.ref(m) for m in build()]
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
