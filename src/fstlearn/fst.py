@@ -103,7 +103,7 @@ class Fst:
 
     @classmethod
     def _trusted(cls, states, initial, transitions, finals, **memo) -> "Fst":
-        """A machine from parts already valid, unchecked; memo prefills arcs and trimmed (see trim)."""
+        """A machine from parts already valid, unchecked; memo prefills the trimmed index (see trim)."""
         m = object.__new__(cls)
         m.__dict__.update(states=states, initial=initial, transitions=transitions, finals=finals, **memo)
         return m
@@ -274,7 +274,7 @@ def trim(fst: Fst) -> Fst:
 
 
 def _machine(arcs, finals, initial=0) -> Fst:
-    """The trim machine of a numbered graph, built once with its arcs index and trim flag.
+    """The trim machine of a numbered graph, built once and marked trim.
 
     arcs[k] lists node k's (in, out, target) moves, as close_silent gives
     them. The nodes reachable from initial that reach one in finals are
@@ -300,13 +300,11 @@ def _machine(arcs, finals, initial=0) -> Fst:
             if t in live and t not in name:
                 name[t] = str(len(order))
                 order.append(t)
-    index = {name[k]: tuple(sorted({(i, o, name[t]) for (i, o, t) in arcs[k] if t in name})) for k in name}
     return Fst._trusted(
-        tuple(index),
+        tuple(name.values()),
         "0",
-        frozenset((s, i, o, d) for s, moves in index.items() for (i, o, d) in moves),
+        frozenset((name[k], i, o, name[t]) for k in name for (i, o, t) in arcs[k] if t in name),
         frozenset(name[k] for k in finals if k in name),
-        arcs=MappingProxyType(index),
         trimmed=True,
     )
 

@@ -29,6 +29,7 @@ from .fst import (
     Fst,
     Letter,
     Word,
+    _check_symbol,
     close_silent,
     compose,
     compose_steps,
@@ -176,4 +177,7 @@ def pattern_to_fst(text: str) -> Fst:
     parse_seq()  # its start node is node 0
     if pos[0] != len(tokens):
         raise FormatError(f"bad pattern {text!r}: trailing tokens")
+    # The letters come from user text, and the machines built from them skip Fst's checks.
+    for sym in sorted({sym for out in edges for letter, _ in out if letter for sym in letter}):
+        _check_symbol(sym)
     return minimize(remove_silent(edges, range(len(edges))))

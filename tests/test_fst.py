@@ -776,6 +776,14 @@ class TestOneBuilder:
         assert fst_to_text(made) == fst_to_text(_on_the_reference_path(pattern_to_fst, text))
         assert_built_as_checked(made)
 
+    @pytest.mark.parametrize("text", ["(a#b:u)", "(x:<empty>)", "(x:u)((<empty>:v)(y:a#))*"])
+    def test_pattern_letters_are_checked_as_on_the_reference_path(self, text):
+        with pytest.raises(FormatError) as made:
+            pattern_to_fst(text)
+        with pytest.raises(FormatError) as ref:
+            _on_the_reference_path(pattern_to_fst, text)
+        assert str(made.value) == str(ref.value)
+
     def test_ties_are_broken_on_the_node_number_as_a_string(self):
         # Node 1 reaches nodes 9 and 10 on one letter: "10" sorts first, so
         # node 10 is named 2 and node 9, which moves on to it, 3.

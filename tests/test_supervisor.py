@@ -309,6 +309,8 @@ class TestPatternToFst:
             "(x u)",  # missing colon
             "(x:u) )",  # trailing token
             "(<eps>:<eps>)",  # the silent letter is reserved
+            "(a#b:u)",  # '#' starts a comment in the text format
+            "(<empty>:u)",  # the empty-word token is not a symbol
         ],
     )
     def test_malformed_patterns_rejected(self, bad):
