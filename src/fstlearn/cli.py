@@ -27,7 +27,7 @@ from .formats import (
     word_to_text,
 )
 from .fst import EPS, Fst, counterexample
-from .hankel import build_hankel_set, default_mask_len, find_basis, numeric_rank
+from .hankel import block_rows, default_mask_len, eliminate, find_basis
 from .loop import LoopConfig, format_trace, run, sample_attacker
 from .spectral import LearnResult, learn_pipeline
 from .supervisor import SynthesisResult, pattern_to_fst, synthesize, verify_resilient
@@ -168,12 +168,12 @@ def _cmd_hankel(args: argparse.Namespace) -> int:
     d = load_dataset(args.data)
     if not d.words:
         raise AnalysisError("hankel", "dataset is empty")
-    hz = build_hankel_set(d, find_basis(d, default_mask_len(d)))
-    psi, gamma = hz.mask.prefixes, hz.mask.suffixes
-    sys.stdout.write(grid(hz.h_theta, psi, gamma, "H_theta"))
-    for chi in hz.alphabet:
-        sys.stdout.write("\n" + grid(hz.h_chi[chi], psi, gamma, f"H_chi {letter_to_text(chi)}"))
-    print(f"\nrank(H_theta) = {numeric_rank(hz.h_theta)}")
+    mask = find_basis(d, default_mask_len(d))
+    psi, gamma, theta = mask.prefixes, mask.suffixes, block_rows(d, mask, ())
+    sys.stdout.write(grid(theta, psi, gamma, "H_theta"))
+    for chi in d.alphabet:
+        sys.stdout.write("\n" + grid(block_rows(d, mask, (chi,)), psi, gamma, f"H_chi {letter_to_text(chi)}"))
+    print(f"\nrank(H_theta) = {len(eliminate(theta))}")
     return 0
 
 

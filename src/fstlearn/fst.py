@@ -14,7 +14,6 @@ letter recording an empty message on one channel.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -200,18 +199,6 @@ def _successors(arcs, subset) -> dict[Letter, set]:
     return moves
 
 
-def _reachable(fst: Fst) -> list[str]:
-    """States reachable from the initial one, in BFS discovery order."""
-    order = [fst.initial]
-    seen = {fst.initial}
-    for s in order:
-        for (_, _, d) in fst.arcs[s]:
-            if d not in seen:
-                seen.add(d)
-                order.append(d)
-    return order
-
-
 def accepts(fst: Fst, w: Word) -> bool:
     """True iff some path labeled by w from the initial state ends final.
 
@@ -236,6 +223,36 @@ def invert(fst: Fst) -> Fst:
     )
 
 
+def _trim_order(arcs, nodes, finals, initial) -> list:
+    """The nodes reachable from initial that reach one in finals, in BFS order.
+
+    arcs[k] lists node k's (in, out, target) moves, for every k in nodes, in
+    the walk's order: sorted by (in, out, str(target)), as in Fst.arcs. The
+    list is empty when initial reaches no node in finals.
+    """
+    back = {k: [] for k in nodes}
+    for k in nodes:
+        for (_, _, t) in arcs[k]:
+            back[t].append(k)
+    live = set(finals)
+    stack = list(live)
+    while stack:
+        for p in back[stack.pop()]:
+            if p not in live:
+                live.add(p)
+                stack.append(p)
+    if initial not in live:
+        return []
+    order = [initial]
+    seen = {initial}
+    for k in order:
+        for (_, _, t) in arcs[k]:
+            if t in live and t not in seen:
+                seen.add(t)
+                order.append(t)
+    return order
+
+
 def trim(fst: Fst) -> Fst:
     """Drop states not reachable from the initial or not co-reachable to a final.
 
@@ -248,23 +265,11 @@ def trim(fst: Fst) -> Fst:
     memo = fst.__dict__.get("trimmed")
     if memo is not None:
         return fst if memo is True else memo
-    reach = set(_reachable(fst))
-    back: dict[str, set[str]] = {}
-    for (s, _, _, d) in fst.transitions:
-        back.setdefault(d, set()).add(s)
-    co = set(fst.finals)
-    dq = deque(fst.finals)
-    while dq:
-        s = dq.popleft()
-        for p in back.get(s, ()):
-            if p not in co:
-                co.add(p)
-                dq.append(p)
-    keep = reach & co
-    if fst.initial not in keep:
-        t = Fst._trusted(("0",), "0", frozenset(), frozenset(), trimmed=True)
-    elif len(keep) == len(fst.states):
+    keep = set(_trim_order(fst.arcs, fst.states, fst.finals, fst.initial))
+    if len(keep) == len(fst.states):
         t = fst
+    elif not keep:
+        t = _machine([], ())  # the graph with no node has the empty language
     else:
         kept = frozenset(tr for tr in fst.transitions if tr[0] in keep and tr[3] in keep)
         states = tuple(s for s in fst.states if s in keep)
@@ -273,37 +278,22 @@ def trim(fst: Fst) -> Fst:
     return t
 
 
-def _machine(arcs, finals, initial=0) -> Fst:
+def _machine(arcs, finals) -> Fst:
     """The trim machine of a numbered graph, built once and marked trim.
 
     arcs[k] lists node k's (in, out, target) moves, as close_silent gives
-    them. The nodes reachable from initial that reach one in finals are
-    named "0".."n-1" in BFS order over moves sorted by (in, out, str(target)).
+    them, and node 0 is initial. The nodes _trim_order keeps, given moves
+    sorted as it needs, are named "0".."n-1" in its order.
     """
-    back = [[] for _ in arcs]
-    for k, moves in enumerate(arcs):
-        for (_, _, t) in moves:
-            back[t].append(k)
-    live = set(finals)
-    stack = list(live)
-    while stack:
-        for p in back[stack.pop()]:
-            if p not in live:
-                live.add(p)
-                stack.append(p)
-    if initial not in live:
+    arcs = [sorted(moves, key=lambda m: (m[0], m[1], str(m[2]))) for moves in arcs]
+    order = _trim_order(arcs, range(len(arcs)), finals, 0)
+    if not order:
         return Fst._trusted(("0",), "0", frozenset(), frozenset(), trimmed=True)
-    order = [initial]
-    name = {initial: "0"}
-    for k in order:
-        for (_, _, t) in sorted(arcs[k], key=lambda m: (m[0], m[1], str(m[2]))):
-            if t in live and t not in name:
-                name[t] = str(len(order))
-                order.append(t)
+    name = {k: str(n) for n, k in enumerate(order)}
     return Fst._trusted(
         tuple(name.values()),
         "0",
-        frozenset((name[k], i, o, name[t]) for k in name for (i, o, t) in arcs[k] if t in name),
+        frozenset((name[k], i, o, name[t]) for k in order for (i, o, t) in arcs[k] if t in name),
         frozenset(name[k] for k in finals if k in name),
         trimmed=True,
     )
@@ -452,8 +442,9 @@ def minimize(fst: Fst) -> Fst:
 
     Moore partition refinement straight on the subset construction of the
     trimmed machine, where a missing letter is its own signature entry; no
-    subset is dead. The class graph is named by _machine. The empty
-    language minimizes to the single-state machine with no finals.
+    subset is dead. _machine names the class graph from class 0, which
+    every round gives the initial subset. The empty language minimizes
+    to the single-state machine with no finals.
     """
     t = trim(fst)
     order, edges = _subsets(t)
@@ -469,7 +460,7 @@ def minimize(fst: Fst) -> Fst:
         cls = new
     member = {c: k for k, c in enumerate(cls)}  # the subsets of a class share their moves
     arcs = [[(i, o, cls[d]) for (i, o), d in edges[member[c]]] for c in range(len(member))]
-    return _machine(arcs, {c for c, sub in zip(cls, order) if sub & t.finals}, cls[0])
+    return _machine(arcs, {c for c, sub in zip(cls, order) if sub & t.finals})
 
 
 def counterexample(a, b) -> Word | None:

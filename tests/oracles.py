@@ -24,7 +24,6 @@ from fstlearn.fst import (
     Letter,
     SampleSet,
     Word,
-    _reachable,
     _successors,
     close_silent,
     explore,
@@ -379,9 +378,19 @@ def spectral_ground_truth(seed: int, max_states: int = 5) -> tuple[Fst, set]:
 def ref_canonical(fst: Fst) -> Fst:
     """Rename states 0..n-1 in BFS discovery order for byte-stable output.
 
+    It walks each state's moves sorted by (in, out, dst) itself, not
+    through the package's trim walk.
+
     Every state must be reachable, as in trim's and minimize's results.
     """
-    order = _reachable(fst)
+    moves: dict[str, list[str]] = {}
+    for (s, _, _, d) in sorted(fst.transitions, key=lambda tr: tr[1:]):
+        moves.setdefault(s, []).append(d)
+    order = [fst.initial]
+    for s in order:
+        for d in moves.get(s, ()):
+            if d not in order:
+                order.append(d)
     name = {s: str(k) for k, s in enumerate(order)}
     return Fst(
         states=tuple(name[s] for s in order),

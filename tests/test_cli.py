@@ -550,16 +550,15 @@ class TestHashSeedIndependence:
 
 class TestNumpyLoadsOnlyToLearn:
     # A fresh interpreter runs one command through main and reports its
-    # exit code and whether numpy was imported along the way. Learning is
-    # exact; only the float matrices of hankel and of the dumped
-    # intermediates need numpy.
+    # exit code and whether numpy was imported along the way. Learning and
+    # hankel are exact; only the dumped float intermediates need numpy.
     CHILD = ("import sys; from fstlearn.cli import main; "
              "code = main(sys.argv[1:]); print(code, 'numpy' in sys.modules)")
 
     @pytest.mark.parametrize(
         "command, loads_numpy",
         [("verify", False), ("simulate", False), ("synth", False), ("equiv", False), ("sample", False),
-         ("learn", False), ("pipeline", False), ("learn-dump", True), ("hankel", True)],
+         ("learn", False), ("pipeline", False), ("learn-dump", True), ("hankel", False)],
     )
     def test_only_learning_imports_numpy(self, tmp_path, golden_supervisor_file, command, loads_numpy):
         argv = {

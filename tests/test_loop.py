@@ -279,6 +279,48 @@ class TestSeededTrace:
             "END max_steps\n"
         )
 
+    def test_implicit_stay_is_drawn_after_the_explicit_eps_arcs(self, demo_plant):
+        # The plant stalls on a3 and hands the sensor attacker the empty
+        # message. From state 0 the attacker draws among two (<eps>, ...)
+        # insertion arcs and then its implicit stay, from state 1 among
+        # one arc and then the stay; every option leaves a different mark.
+        supervisor = Fst(
+            states=("0",),
+            initial="0",
+            transitions=frozenset(("0", i, o, "0") for i in ("s2", "s9", EPS) for o in ("a1", "a2", "a3")),
+            finals=frozenset({"0"}),
+        )
+        sensor = Fst(
+            states=("0", "1"),
+            initial="0",
+            transitions=frozenset(
+                {("0", EPS, "s9", "0"), ("0", EPS, "s2", "1"), ("0", "s2", "s2", "0"),
+                 ("1", EPS, "s9", "0"), ("1", "s2", "s2", "1")}
+            ),
+            finals=frozenset({"0", "1"}),
+        )
+        cfg = LoopConfig(
+            plant=demo_plant,
+            supervisor=supervisor,
+            sensor_attacker=sensor,
+            actuator_attacker=identity_fst(["a1", "a2", "a3"]),
+            max_steps=10,
+            seed=1,
+        )
+        assert format_trace(run(cfg)) == (
+            "step 1: alpha=a3 alpha_c=a3 sigma=<eps> sigma_c=s9\n"
+            "step 2: alpha=a2 alpha_c=a2 sigma=s2 sigma_c=s2\n"
+            "step 3: alpha=a2 alpha_c=a2 sigma=s2 sigma_c=s2\n"
+            "step 4: alpha=a1 alpha_c=a1 sigma=s2 sigma_c=s2\n"
+            "step 5: alpha=a3 alpha_c=a3 sigma=<eps> sigma_c=s2\n"
+            "step 6: alpha=a3 alpha_c=a3 sigma=<eps> sigma_c=<eps>\n"
+            "step 7: alpha=a1 alpha_c=a1 sigma=s2 sigma_c=s2\n"
+            "step 8: alpha=a3 alpha_c=a3 sigma=<eps> sigma_c=<eps>\n"
+            "step 9: alpha=a1 alpha_c=a1 sigma=s2 sigma_c=s2\n"
+            "step 10: alpha=a3 alpha_c=a3 sigma=<eps> sigma_c=s9\n"
+            "END max_steps\n"
+        )
+
 
 class TestSampleAttacker:
     def test_exhaustive_equals_the_bounded_language(self, demo_attacker):
