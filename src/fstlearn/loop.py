@@ -12,15 +12,16 @@ stay; a machine handed a message it has no transition for ignores it and
 emits the empty message (a stall, not a termination). Deadlock happens
 only when the supervisor has no transition to choose at substep 1.
 
-Every nondeterministic choice is resolved uniformly by one seeded
-generator over sorted transition lists, so a (config, seed) pair fixes
-the whole trace.
+Every nondeterministic choice is drawn uniformly, as `randrange` draws,
+by one seeded generator over sorted transition lists indexed once per
+config, so a (config, seed) pair fixes the whole trace.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .formats import symbol_to_text
 from .errors import AnalysisError
@@ -67,6 +68,22 @@ class LoopConfig:
             if trim(machine) != machine:
                 raise ValueError(f"{name} must be trim")
 
+    @cached_property
+    def _moves(self) -> tuple[dict, dict, dict, dict]:
+        """Each machine's moves by what it reads, built once: (actuator, plant, sensor, supervisor).
+
+        A mid-loop machine maps (state, in) to its (out, dst) options, a missing key being a stall;
+        the supervisor maps (state, in, out) to its (dst,) options. Options keep `arcs` order with
+        the implicit stay last, the order that fixes every draw; tuples, which the collector skips.
+        """
+        index: tuple[dict, ...] = ({}, {}, {}, {})
+        machines = (self.actuator_attacker, self.plant, self.sensor_attacker, self.supervisor)
+        for machine, table, reads in zip(machines, index, (1, 1, 1, 2)):
+            for state, moves in machine.arcs.items():
+                for move in (*moves, (EPS, EPS, state)):
+                    table.setdefault((state, *move[:reads]), []).append(move[reads:])
+        return tuple({key: tuple(options) for key, options in table.items()} for table in index)
+
 
 @dataclass(frozen=True)
 class LoopTrace:
@@ -74,39 +91,29 @@ class LoopTrace:
     terminated_by: str
 
     def plant_word(self) -> Word:
-        return tuple(
-            (rec.alpha_c, rec.sigma) for rec in self.steps if (rec.alpha_c, rec.sigma) != (EPS, EPS)
-        )
+        return tuple((r.alpha_c, r.sigma) for r in self.steps if (r.alpha_c, r.sigma) != (EPS, EPS))
 
     def supervisor_word(self) -> Word:
-        return tuple(
-            (rec.sigma_c, rec.alpha) for rec in self.steps if (rec.sigma_c, rec.alpha) != (EPS, EPS)
-        )
+        return tuple((r.sigma_c, r.alpha) for r in self.steps if (r.sigma_c, r.alpha) != (EPS, EPS))
 
 
 def initial_state(cfg: LoopConfig) -> LoopState:
     return LoopState(
-        supervisor=cfg.supervisor.initial,
-        actuator=cfg.actuator_attacker.initial,
-        plant=cfg.plant.initial,
-        sensor=cfg.sensor_attacker.initial,
+        cfg.supervisor.initial, cfg.actuator_attacker.initial, cfg.plant.initial, cfg.sensor_attacker.initial
     )
 
 
-def _relay(machine: Fst, state: str, symbol: str, rng: random.Random) -> tuple[str, str]:
-    """Feed one symbol through a mid-loop machine; returns (state, output).
+def _pick(bits, options):
+    """options[rng.randrange(len(options))] for bits = rng.getrandbits, in two calls fewer.
 
-    Eligible moves are the explicit transitions consuming the symbol,
-    plus the implicit stay when the symbol is the empty message. With no
-    eligible move the machine stalls in place and emits nothing.
+    This is CPython's `_randbelow_with_getrandbits`, so the stream is the same; one option still draws.
     """
-    options = [(o, dst) for (i, o, dst) in machine.arcs[state] if i == symbol]
-    if symbol == EPS:
-        options.append((EPS, state))
-    if not options:
-        return state, EPS
-    out, dst = options[rng.randrange(len(options))]
-    return dst, out
+    n = len(options)
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return options[r]
 
 
 def step(cfg: LoopConfig, states: LoopState, rng: random.Random) -> tuple[str, StepRecord | None, LoopState]:
@@ -114,24 +121,27 @@ def step(cfg: LoopConfig, states: LoopState, rng: random.Random) -> tuple[str, S
     sup_moves = cfg.supervisor.arcs[states.supervisor]
     if not sup_moves:
         return TERMINATED_DEADLOCK, None, states
-    alpha = sup_moves[rng.randrange(len(sup_moves))][1]
+    actuator, plant, sensor, supervisor = cfg._moves
+    bits = rng.getrandbits
+    alpha = _pick(bits, sup_moves)[1]
 
-    act_state, alpha_c = _relay(cfg.actuator_attacker, states.actuator, alpha, rng)
-    plant_state, sigma = _relay(cfg.plant, states.plant, alpha_c, rng)
-    sensor_state, sigma_c = _relay(cfg.sensor_attacker, states.sensor, sigma, rng)
+    # A mid-loop machine with no option for its symbol stalls and emits nothing.
+    options = actuator.get((states.actuator, alpha))
+    alpha_c, act_state = _pick(bits, options) if options else (EPS, states.actuator)
+    options = plant.get((states.plant, alpha_c))
+    sigma, plant_state = _pick(bits, options) if options else (EPS, states.plant)
+    options = sensor.get((states.sensor, sigma))
+    sigma_c, sensor_state = _pick(bits, options) if options else (EPS, states.sensor)
 
     # The supervisor committed alpha before seeing sigma_c; it now moves
     # by any transition matching the observed pair, not necessarily the
     # arc it drew alpha from.
-    matches = [dst for (i, o, dst) in sup_moves if i == sigma_c and o == alpha]
-    if (sigma_c, alpha) == (EPS, EPS):
-        matches.append(states.supervisor)
-    alarmed = not matches
-    sup_state = states.supervisor if alarmed else matches[rng.randrange(len(matches))]
+    targets = supervisor.get((states.supervisor, sigma_c, alpha))
+    sup_state = _pick(bits, targets)[0] if targets else states.supervisor
 
     new_states = LoopState(supervisor=sup_state, actuator=act_state, plant=plant_state, sensor=sensor_state)
     record = StepRecord(alpha=alpha, alpha_c=alpha_c, sigma=sigma, sigma_c=sigma_c, states=new_states)
-    return (TERMINATED_ALARM if alarmed else "ok"), record, new_states
+    return ("ok" if targets else TERMINATED_ALARM), record, new_states
 
 
 def run(cfg: LoopConfig) -> LoopTrace:
@@ -140,22 +150,17 @@ def run(cfg: LoopConfig) -> LoopTrace:
     steps: list[StepRecord] = []
     for _ in range(cfg.max_steps):
         kind, record, states = step(cfg, states, rng)
-        if kind == TERMINATED_DEADLOCK:
-            return LoopTrace(steps=tuple(steps), terminated_by=TERMINATED_DEADLOCK)
-        steps.append(record)
-        if kind == TERMINATED_ALARM:
-            return LoopTrace(steps=tuple(steps), terminated_by=TERMINATED_ALARM)
+        if record is not None:
+            steps.append(record)
+        if kind != "ok":  # TERMINATED_ALARM or TERMINATED_DEADLOCK
+            return LoopTrace(steps=tuple(steps), terminated_by=kind)
     return LoopTrace(steps=tuple(steps), terminated_by=TERMINATED_MAX_STEPS)
 
 
 def format_trace(trace: LoopTrace) -> str:
     lines = [
         "step {}: alpha={} alpha_c={} sigma={} sigma_c={}".format(
-            k,
-            symbol_to_text(rec.alpha),
-            symbol_to_text(rec.alpha_c),
-            symbol_to_text(rec.sigma),
-            symbol_to_text(rec.sigma_c),
+            k, *map(symbol_to_text, (rec.alpha, rec.alpha_c, rec.sigma, rec.sigma_c))
         )
         for k, rec in enumerate(trace.steps, start=1)
     ]
@@ -164,11 +169,7 @@ def format_trace(trace: LoopTrace) -> str:
 
 
 def sample_attacker(
-    attacker: Fst,
-    n_words: int,
-    max_len: int,
-    seed: int = 0,
-    exhaustive: bool = False,
+    attacker: Fst, n_words: int, max_len: int, seed: int = 0, exhaustive: bool = False
 ) -> SampleSet:
     """Record attack words: seeded walks, or the whole bounded language.
 
@@ -195,10 +196,9 @@ def sample_attacker(
             outs = attacker.arcs[state]
             if not outs:
                 break
-            i, o, dst = outs[rng.randrange(len(outs))]
+            i, o, dst = _pick(rng.getrandbits, outs)
             walk.append((i, o))
             state = dst
         if state in attacker.finals:
-            for k in range(len(walk) + 1):
-                words.add(tuple(walk[:k]))
+            words.update(tuple(walk[:k]) for k in range(len(walk) + 1))
     return SampleSet.from_words(words)

@@ -43,6 +43,16 @@ from fstlearn.hankel import (
     numeric_rank,
 )
 from fstlearn.spectral import extract_tuple, full_rank_decompose, naturalize, tuple_to_fst
+from fstlearn.loop import (
+    TERMINATED_ALARM,
+    TERMINATED_DEADLOCK,
+    TERMINATED_MAX_STEPS,
+    LoopConfig,
+    LoopState,
+    LoopTrace,
+    StepRecord,
+    initial_state,
+)
 from fstlearn.supervisor import SynthesisResult, counterexample, supervised_language
 
 
@@ -533,3 +543,64 @@ def ref_verify_resilient(p: Fst, s: Fst, a_s: Fst, a_a: Fst, m_k: Fst) -> Synthe
     lang = supervised_language(p, s, a_s, a_a)
     witness = counterexample(lang, m_k)
     return SynthesisResult(supervisor=s, resilient=witness is None, witness=witness)
+
+
+def _ref_relay(machine: Fst, state: str, symbol: str, rng: random.Random) -> tuple[str, str]:
+    """Feed one symbol through a mid-loop machine; returns (state, output).
+
+    Eligible moves are the explicit transitions consuming the symbol,
+    plus the implicit stay when the symbol is the empty message. With no
+    eligible move the machine stalls in place and emits nothing.
+    """
+    options = [(o, dst) for (i, o, dst) in machine.arcs[state] if i == symbol]
+    if symbol == EPS:
+        options.append((EPS, state))
+    if not options:
+        return state, EPS
+    out, dst = options[rng.randrange(len(options))]
+    return dst, out
+
+
+def _ref_step(cfg: LoopConfig, states: LoopState, rng: random.Random) -> tuple[str, StepRecord | None, LoopState]:
+    """One tick; returns ("ok" | "alarm" | "deadlock", record, new states)."""
+    sup_moves = cfg.supervisor.arcs[states.supervisor]
+    if not sup_moves:
+        return TERMINATED_DEADLOCK, None, states
+    alpha = sup_moves[rng.randrange(len(sup_moves))][1]
+
+    act_state, alpha_c = _ref_relay(cfg.actuator_attacker, states.actuator, alpha, rng)
+    plant_state, sigma = _ref_relay(cfg.plant, states.plant, alpha_c, rng)
+    sensor_state, sigma_c = _ref_relay(cfg.sensor_attacker, states.sensor, sigma, rng)
+
+    # The supervisor committed alpha before seeing sigma_c; it now moves
+    # by any transition matching the observed pair, not necessarily the
+    # arc it drew alpha from.
+    matches = [dst for (i, o, dst) in sup_moves if i == sigma_c and o == alpha]
+    if (sigma_c, alpha) == (EPS, EPS):
+        matches.append(states.supervisor)
+    alarmed = not matches
+    sup_state = states.supervisor if alarmed else matches[rng.randrange(len(matches))]
+
+    new_states = LoopState(supervisor=sup_state, actuator=act_state, plant=plant_state, sensor=sensor_state)
+    record = StepRecord(alpha=alpha, alpha_c=alpha_c, sigma=sigma, sigma_c=sigma_c, states=new_states)
+    return (TERMINATED_ALARM if alarmed else "ok"), record, new_states
+
+
+def ref_run(cfg: LoopConfig) -> LoopTrace:
+    """loop.run as it was before the move index and the bit-level draw.
+
+    Each tick rebuilds every option list from `arcs` by comprehension and
+    draws with `randrange`, so equal traces pin both the option order and
+    the random stream.
+    """
+    rng = random.Random(cfg.seed)
+    states = initial_state(cfg)
+    steps: list[StepRecord] = []
+    for _ in range(cfg.max_steps):
+        kind, record, states = _ref_step(cfg, states, rng)
+        if kind == TERMINATED_DEADLOCK:
+            return LoopTrace(steps=tuple(steps), terminated_by=TERMINATED_DEADLOCK)
+        steps.append(record)
+        if kind == TERMINATED_ALARM:
+            return LoopTrace(steps=tuple(steps), terminated_by=TERMINATED_ALARM)
+    return LoopTrace(steps=tuple(steps), terminated_by=TERMINATED_MAX_STEPS)

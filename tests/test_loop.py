@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fstlearn import (
     EPS,
@@ -16,9 +20,11 @@ from fstlearn import (
     language_upto,
     run,
     sample_attacker,
+    trim,
 )
+from fstlearn.loop import _pick
 from conftest import DEMO_WORDS
-from oracles import ref_accepts
+from oracles import ref_accepts, ref_run
 
 
 @pytest.fixture
@@ -50,6 +56,14 @@ class TestLoopConfig:
     def test_negative_max_steps_rejected(self, resilient_cfg):
         with pytest.raises(ValueError):
             resilient_cfg(max_steps=-1)
+
+    def test_the_move_index_is_not_part_of_the_config(self, resilient_cfg):
+        # The index is cached on the instance on the first tick; equality,
+        # hashing and repr still see the six fields only.
+        used, fresh = resilient_cfg(), resilient_cfg()
+        run(used)
+        assert "_moves" in vars(used) and "_moves" not in vars(fresh)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
     def test_non_trim_machine_rejected(self, demo_plant, identity_sensor, demo_attacker):
         floating = Fst(
@@ -322,6 +336,82 @@ class TestSeededTrace:
         )
 
 
+SYMBOLS = ("a", "b", EPS)
+
+
+@st.composite
+def loop_machines(draw, lenient: bool = False) -> Fst:
+    """A trim all-final machine over a, b and eps.
+
+    Each (state, input) it reads has 1, 2, 3 or 5 moves, so draws run the
+    rejection loop; states and inputs it does not read make stalls, alarms
+    and deadlocks. A lenient machine also stays put on every letter, so a
+    supervisor made so never alarms and its runs go long.
+    """
+    states = tuple(str(k) for k in range(draw(st.integers(1, 3))))
+    transitions = set()
+    for s, i in draw(st.sets(st.tuples(st.sampled_from(states), st.sampled_from(SYMBOLS)), max_size=4)):
+        moves = [(s, i, o, d) for o in SYMBOLS for d in states if (i, o) != (EPS, EPS)]
+        transitions.update(draw(st.permutations(moves))[: draw(st.sampled_from((1, 2, 3, 5)))])
+    if lenient:
+        transitions.update((s, i, o, s) for s in states for i in SYMBOLS for o in SYMBOLS if (i, o) != (EPS, EPS))
+    return trim(Fst(states, "0", frozenset(transitions), frozenset(states)))
+
+
+# The actuator attacker has five moves on (0, a) and, with its stay, three
+# on (1, <eps>); it stalls on a from state 1, and the plant stalls on b.
+FIVE_WAY = Fst(
+    states=("0", "1"),
+    initial="0",
+    transitions=frozenset(
+        {("0", "a", "a", "0"), ("0", "a", "b", "0"), ("0", "a", EPS, "0"), ("0", "a", "a", "1"),
+         ("0", "a", "b", "1"), ("1", EPS, "a", "0"), ("1", EPS, "b", "1")}
+    ),
+    finals=frozenset({"0", "1"}),
+)
+ANYTHING = Fst(
+    states=("0",),
+    initial="0",
+    transitions=frozenset(("0", i, o, "0") for i in SYMBOLS for o in SYMBOLS if (i, o) != (EPS, EPS)),
+    finals=frozenset({"0"}),
+)
+
+
+class TestAgainstTheReference:
+    """The indexed tick and its bit-level draw give the reference's traces."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        loop_machines(),
+        st.booleans().flatmap(lambda lenient: loop_machines(lenient)),
+        loop_machines(),
+        loop_machines(),
+        st.integers(0, 25),
+        st.integers(0, 2**32),
+    )
+    @example(identity_fst(["a"]), ANYTHING, identity_fst(["a", "b"]), FIVE_WAY, 25, 0)
+    def test_same_trace(self, plant, supervisor, sensor, actuator, max_steps, seed):
+        cfg = LoopConfig(
+            plant=plant,
+            supervisor=supervisor,
+            sensor_attacker=sensor,
+            actuator_attacker=actuator,
+            max_steps=max_steps,
+            seed=seed,
+        )
+        assert run(cfg) == ref_run(cfg)
+
+
+class TestDraw:
+    def test_pick_draws_as_randrange(self):
+        # On every supported CPython the bit-level draw must keep
+        # randrange's stream, or every seeded trace changes.
+        for seed in range(10):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for n in range(1, 71):
+                assert _pick(ours.getrandbits, range(n)) == theirs.randrange(n)
+
+
 class TestSampleAttacker:
     def test_exhaustive_equals_the_bounded_language(self, demo_attacker):
         got = sample_attacker(demo_attacker, 0, 3, exhaustive=True)
@@ -349,6 +439,21 @@ class TestSampleAttacker:
         a = sample_attacker(demo_attacker, 25, 4, seed=7)
         b = sample_attacker(demo_attacker, 25, 4, seed=7)
         assert a.words == b.words
+
+    @pytest.mark.parametrize(
+        "seed, walks",
+        [
+            (1, ["a1:a3 a1:a2 a3:a1 a1:a2", "a3:a1 a1:a2 a3:a1 a1:a2 a1:a3 a1:a2"]),
+            (2, ["a1:a3 a1:a2 a1:a3 a1:a2 a3:a1 a1:a2", "a3:a1 a1:a2 a3:a1 a1:a2 a3:a1 a1:a2"]),
+            (7, ["a1:a3 a1:a2 a1:a3 a1:a2", "a3:a1 a1:a2"]),
+        ],
+    )
+    def test_walks_are_pinned(self, demo_attacker, seed, walks):
+        # The words recorded are the prefixes of these longest walks. They
+        # pin the walks' draws, which share the loop's random stream.
+        longest = [tuple(tuple(letter.split(":")) for letter in walk.split()) for walk in walks]
+        got = sample_attacker(demo_attacker, 5, 6, seed=seed)
+        assert got.words == {w[:k] for w in longest for k in range(len(w) + 1)}
 
     @pytest.mark.parametrize("exhaustive", [False, True])
     def test_non_prefix_closed_attacker_is_rejected(self, exhaustive):
