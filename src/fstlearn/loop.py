@@ -15,6 +15,10 @@ only when the supervisor has no transition to choose at substep 1.
 Every nondeterministic choice is drawn uniformly, as `randrange` draws,
 by one seeded generator over sorted transition lists indexed once per
 config, so a (config, seed) pair fixes the whole trace.
+
+A run builds each distinct step record once and shares it among the
+ticks that repeat it, so equal steps in one trace may be one object;
+the table of records dies with the run.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ class LoopConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("max_steps", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
         for name in ("plant", "supervisor", "sensor_attacker", "actuator_attacker"):
@@ -87,6 +94,8 @@ class LoopConfig:
 
 @dataclass(frozen=True)
 class LoopTrace:
+    """The records of a run's ticks, in order; equal records may be one object."""
+
     steps: tuple[StepRecord, ...]
     terminated_by: str
 
@@ -116,8 +125,16 @@ def _pick(bits, options):
     return options[r]
 
 
-def step(cfg: LoopConfig, states: LoopState, rng: random.Random) -> tuple[str, StepRecord | None, LoopState]:
-    """One tick; returns ("ok" | "alarm" | "deadlock", record, new states)."""
+def step(
+    cfg: LoopConfig, states: LoopState, rng: random.Random, records: dict | None = None
+) -> tuple[str, StepRecord | None, LoopState]:
+    """One tick; returns ("ok" | "alarm" | "deadlock", record, new states).
+
+    `records` maps a tick's symbols and new states to the record built for them, returned
+    again when a tick repeats them; `run` passes one table per call, and without one the
+    record is built fresh.
+    """
+    records = {} if records is None else records
     sup_moves = cfg.supervisor.arcs[states.supervisor]
     if not sup_moves:
         return TERMINATED_DEADLOCK, None, states
@@ -139,17 +156,21 @@ def step(cfg: LoopConfig, states: LoopState, rng: random.Random) -> tuple[str, S
     targets = supervisor.get((states.supervisor, sigma_c, alpha))
     sup_state = _pick(bits, targets)[0] if targets else states.supervisor
 
-    new_states = LoopState(supervisor=sup_state, actuator=act_state, plant=plant_state, sensor=sensor_state)
-    record = StepRecord(alpha=alpha, alpha_c=alpha_c, sigma=sigma, sigma_c=sigma_c, states=new_states)
-    return ("ok" if targets else TERMINATED_ALARM), record, new_states
+    key = (alpha, alpha_c, sigma, sigma_c, sup_state, act_state, plant_state, sensor_state)
+    record = records.get(key)
+    if record is None:
+        new_states = LoopState(sup_state, act_state, plant_state, sensor_state)
+        record = records[key] = StepRecord(alpha, alpha_c, sigma, sigma_c, new_states)
+    return ("ok" if targets else TERMINATED_ALARM), record, record.states
 
 
 def run(cfg: LoopConfig) -> LoopTrace:
     rng = random.Random(cfg.seed)
     states = initial_state(cfg)
+    records: dict = {}  # one per call, so no two runs share a record
     steps: list[StepRecord] = []
     for _ in range(cfg.max_steps):
-        kind, record, states = step(cfg, states, rng)
+        kind, record, states = step(cfg, states, rng, records)
         if record is not None:
             steps.append(record)
         if kind != "ok":  # TERMINATED_ALARM or TERMINATED_DEADLOCK

@@ -589,9 +589,9 @@ def _ref_step(cfg: LoopConfig, states: LoopState, rng: random.Random) -> tuple[s
 def ref_run(cfg: LoopConfig) -> LoopTrace:
     """loop.run as it was before the move index and the bit-level draw.
 
-    Each tick rebuilds every option list from `arcs` by comprehension and
-    draws with `randrange`, so equal traces pin both the option order and
-    the random stream.
+    Each tick rebuilds every option list from `arcs` by comprehension,
+    draws with `randrange` and builds fresh records, so equal traces pin
+    the option order, the random stream and the shared records' values.
     """
     rng = random.Random(cfg.seed)
     states = initial_state(cfg)

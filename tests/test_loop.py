@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from fstlearn import (
     sample_attacker,
     trim,
 )
-from fstlearn.loop import _pick
+from fstlearn.loop import _pick, initial_state, step
 from conftest import DEMO_WORDS
 from oracles import ref_accepts, ref_run
 
@@ -57,6 +58,18 @@ class TestLoopConfig:
         with pytest.raises(ValueError):
             resilient_cfg(max_steps=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", None), ("seed", 1.0), ("seed", "0"), ("seed", True),
+         ("max_steps", 2.5), ("max_steps", "3")],
+    )
+    def test_non_int_seed_or_max_steps_rejected(self, resilient_cfg, field, value):
+        # A None seed would draw from OS entropy, so equal configs would
+        # give different traces; a float or string count used to fail
+        # only inside run, with a bare TypeError.
+        with pytest.raises(ValueError, match=field):
+            resilient_cfg(**{field: value})
+
     def test_the_move_index_is_not_part_of_the_config(self, resilient_cfg):
         # The index is cached on the instance on the first tick; equality,
         # hashing and repr still see the six fields only.
@@ -85,7 +98,34 @@ class TestLoopConfig:
 
 class TestResilientRuns:
     def test_deterministic_for_a_fixed_seed(self, resilient_cfg):
-        assert run(resilient_cfg(seed=5)) == run(resilient_cfg(seed=5))
+        cfg = resilient_cfg(seed=5)
+        first, second = run(cfg), run(cfg)
+        assert first == second == run(resilient_cfg(seed=5))
+        # Within a run each distinct record is built once, so the loop's
+        # two-tick period holds two objects; a second run builds its own.
+        assert len({id(r) for r in first.steps}) == 2
+        assert not {id(r) for r in first.steps} & {id(r) for r in second.steps}
+
+    def test_step_without_a_table_gives_a_fresh_equal_record(self, resilient_cfg):
+        cfg = resilient_cfg()
+        alone, shared, table, fresh = random.Random(4), random.Random(4), {}, []
+        states_alone = states_shared = initial_state(cfg)
+        for _ in range(12):
+            got = step(cfg, states_alone, alone)
+            expected = step(cfg, states_shared, shared, table)
+            assert got == expected and got[1] is not expected[1]
+            states_alone, states_shared = got[2], expected[2]
+            fresh.append(got[1])
+        assert len({id(r) for r in fresh}) == 12 and len(table) == 2
+
+    def test_records_stay_frozen_hashable_dataclasses(self, resilient_cfg):
+        record = run(resilient_cfg(max_steps=1)).steps[0]
+        assert list(vars(record.states)) == ["supervisor", "actuator", "plant", "sensor"]
+        assert hash(record) == hash(dataclasses.replace(record))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.alpha = "a2"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.states.plant = "0"
 
     def test_zero_steps(self, resilient_cfg):
         trace = run(resilient_cfg(max_steps=0))
