@@ -46,12 +46,12 @@ def _sanitize(symbol: str) -> str:
 
 
 def _dump_learn(res: LearnResult, outdir: str) -> None:
+    import numpy  # only the dump needs it
+
     os.makedirs(outdir, exist_ok=True)
 
-    def save(name: str, mat) -> None:  # as numpy.savetxt(path, atleast_2d(mat), fmt="%.10g")
-        rows = mat.tolist() if mat.ndim == 2 else [mat.tolist()]
-        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
-            fh.writelines(" ".join("%.10g" % x for x in row) + "\n" for row in rows)
+    def save(name: str, mat) -> None:
+        numpy.savetxt(os.path.join(outdir, name), numpy.atleast_2d(mat), fmt="%.10g")
 
     with open(os.path.join(outdir, "mask.txt"), "w", encoding="utf-8") as fh:
         for w in res.mask.prefixes:
@@ -166,8 +166,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_hankel(args: argparse.Namespace) -> int:
     d = load_dataset(args.data)
-    if not d.words:
-        raise AnalysisError("hankel", "dataset is empty")
     mask = find_basis(d, default_mask_len(d))
     psi, gamma, theta = mask.prefixes, mask.suffixes, block_rows(d, mask, ())
     sys.stdout.write(grid(theta, psi, gamma, "H_theta"))

@@ -167,32 +167,14 @@ def save_dataset(d: SampleSet, path) -> None:
         fh.write(sampleset_to_text(d))
 
 
-def grid(mat, row_labels, col_labels, title: str) -> str:
-    """Aligned ASCII dump of a small matrix with word labels."""
-    rows, cols = len(row_labels), len(col_labels)
-    integral = all(float(mat[r][c]).is_integer() for r in range(rows) for c in range(cols))
-
-    def fmt(v) -> str:
-        return str(int(v)) if integral else f"{float(v):.6g}"
-
-    cells = [[fmt(mat[r][c]) for c in range(cols)] for r in range(rows)]
+def grid(rows, row_labels, col_labels, title: str) -> str:
+    """Aligned ASCII dump of a 0/1 matrix, given as int rows, with word labels;
+    each column is as wide as its label."""
     col_txt = [word_to_text(w) for w in col_labels]
     row_txt = [word_to_text(w) for w in row_labels]
-    widths = [
-        max(len(col_txt[c]), *(len(cells[r][c]) for r in range(rows)))
-        if rows
-        else len(col_txt[c])
-        for c in range(cols)
-    ]
-    left = max((len(t) for t in row_txt), default=0)
-    lines = [title]
-    lines.append(
-        " ".join([" " * left, *(col_txt[c].rjust(widths[c]) for c in range(cols))]).rstrip()
-    )
-    for r in range(rows):
-        lines.append(
-            " ".join(
-                [row_txt[r].ljust(left), *(cells[r][c].rjust(widths[c]) for c in range(cols))]
-            ).rstrip()
-        )
+    left = max(map(len, row_txt))
+    lines = [title, " ".join([" " * left, *col_txt]).rstrip()]
+    for label, row in zip(row_txt, rows):
+        cells = (str(v).rjust(len(c)) for v, c in zip(row, col_txt))
+        lines.append(" ".join([label.ljust(left), *cells]).rstrip())
     return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import TYPE_CHECKING
 
-from .errors import ResourceLimitError
+from .errors import AnalysisError, ResourceLimitError
 from .fst import SampleSet, Letter, Word, shortlex
 
 if TYPE_CHECKING:
@@ -131,8 +131,10 @@ def eliminate(rows, cells=None) -> list[tuple[int, int]]:
 
 
 def default_mask_len(d: SampleSet) -> int:
-    """floor((L - 1) / 2) for the longest sampled word length L, so every
-    membership query psi chi gamma stays within the sampled horizon."""
+    """floor((L - 1) / 2) for the longest sampled word length L, so every membership query
+    psi chi gamma stays within the sampled horizon; empty recordings are an analysis error."""
+    if not d.words:
+        raise AnalysisError("learn", "dataset is empty")
     return max(0, (max(len(w) for w in d.words) - 1) // 2)
 
 

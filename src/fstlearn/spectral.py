@@ -240,9 +240,7 @@ def learn_pipeline(d: SampleSet) -> LearnResult:
     The states are the H_Theta rows outside the span of those above them, eps first. The data
     is natural iff every H_Theta row is zero or a state's and, per letter, the H_chi rows of
     each state's class agree on a row that is zero or a state's: its arc. The mask length is
-    hankel.default_mask_len(d)."""
-    if not d.words:
-        raise AnalysisError("learn", "dataset is empty")
+    hankel.default_mask_len(d), which rejects an empty d."""
     mask = find_basis(d, default_mask_len(d))
     theta = block_rows(d, mask, ())
     shifted = {chi: block_rows(d, mask, (chi,)) for chi in d.alphabet}

@@ -115,68 +115,46 @@ _TOKEN = re.compile(r"[()*:]|[^()*:\s]+")
 
 
 def pattern_to_fst(text: str) -> Fst:
+    """The machine of a pattern, read token by token with a stack of open groups."""
     tokens = _TOKEN.findall(text)
-    if "".join(tokens) != "".join(text.split()):
-        raise FormatError(f"unrecognized characters in pattern {text!r}")
-
     # edges[k] lists node k's (letter, target) pairs; a None letter is a
-    # silent scaffolding link, closed away by remove_silent.
-    edges: list[list[tuple[Letter | None, int]]] = []
-
-    def fresh() -> int:
-        edges.append([])
-        return len(edges) - 1
-
-    pos = [0]
-
-    def peek(offset: int = 0) -> str | None:
-        i = pos[0] + offset
-        return tokens[i] if i < len(tokens) else None
-
-    def take(expected: str | None = None) -> str:
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise FormatError(f"bad pattern {text!r}: expected {expected or 'a token'} at token {pos[0]}")
-        pos[0] += 1
-        return tok
-
-    def parse_seq() -> tuple[int, int]:
-        start = fresh()
-        end = start
-        while peek() == "(":
-            s, e = parse_item()
-            edges[end].append((None, s))
-            end = e
-        return start, end
-
-    def parse_item() -> tuple[int, int]:
-        take("(")
-        if peek() not in ("(", ")") and peek(1) == ":":
-            left = take()
-            take(":")
-            right = take()
-            take(")")
-            if left in "()*:" or right in "()*:":
-                raise FormatError(f"bad pattern {text!r}: malformed letter")
-            letter = (symbol_from_text(left), symbol_from_text(right))
-            if letter == (EPS, EPS):
-                raise FormatError("the (eps,eps) letter cannot appear in a pattern")
-            s, e = fresh(), fresh()
-            edges[s].append((letter, e))
-        else:
-            s, e = parse_seq()
-            take(")")
-        if peek() == "*":
-            take("*")
-            outer_s, outer_e = fresh(), fresh()
-            edges[outer_s] += [(None, s), (None, outer_e)]
-            edges[e] += [(None, s), (None, outer_e)]
-            return outer_s, outer_e
-        return s, e
-
-    parse_seq()  # its start node is node 0
-    if pos[0] != len(tokens):
-        raise FormatError(f"bad pattern {text!r}: trailing tokens")
+    # silent scaffolding link, closed away by remove_silent. Node 0 starts
+    # the pattern and the last node ends what is read so far. `item` is the
+    # (start, end) of the item just closed, the one a star may follow, and
+    # `groups` holds the start of each open group.
+    edges: list[list[tuple[Letter | None, int]]] = [[]]
+    item, groups, i = None, [], 0
+    while i < len(tokens):
+        match tokens[i : i + 5]:
+            case ["(", left, ":", right, ")"] if left not in "()":
+                if left in "()*:" or right in "()*:":
+                    raise FormatError(f"bad pattern {text!r}: malformed letter at token {i}")
+                letter = (symbol_from_text(left), symbol_from_text(right))
+                if letter == (EPS, EPS):
+                    raise FormatError("the (eps,eps) letter cannot appear in a pattern")
+                item = (len(edges), len(edges) + 1)
+                edges[-1].append((None, item[0]))
+                edges += [[(letter, item[1])], []]
+                i += 4  # and 1 below: past the letter's five tokens
+            case ["(", *_]:
+                groups.append(len(edges))
+                edges[-1].append((None, len(edges)))
+                edges.append([])
+                item = None
+            case [")", *_] if groups:
+                # A fresh end node: a star's links must not touch an inner item's nodes.
+                item = (groups.pop(), len(edges))
+                edges[-1].append((None, item[1]))
+                edges.append([])
+            case ["*", *_] if item:
+                edges[item[0]].append((None, item[1]))
+                edges[item[1]].append((None, item[0]))
+                item = None
+            case [tok, *_]:
+                raise FormatError(f"bad pattern {text!r}: unexpected {tok!r} at token {i}")
+        i += 1
+    if groups:
+        raise FormatError(f"bad pattern {text!r}: {len(groups)} unclosed group(s)")
     # The letters come from user text, and the machines built from them skip Fst's checks.
     for sym in sorted({sym for out in edges for letter, _ in out if letter for sym in letter}):
         _check_symbol(sym)

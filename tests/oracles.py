@@ -9,6 +9,7 @@ of the package's), so agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import random
+import re
 from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from fstlearn.errors import FormatError
-from fstlearn.formats import letter_from_text
+from fstlearn.formats import letter_from_text, symbol_from_text
 from fstlearn.fst import (
     EMPTY_TOKEN,
     EPS,
@@ -24,11 +25,13 @@ from fstlearn.fst import (
     Letter,
     SampleSet,
     Word,
+    _check_symbol,
     _successors,
     close_silent,
     explore,
     language_upto,
     minimize,
+    remove_silent,
     trim,
 )
 import fstlearn.hankel
@@ -604,3 +607,79 @@ def ref_run(cfg: LoopConfig) -> LoopTrace:
         if kind == TERMINATED_ALARM:
             return LoopTrace(steps=tuple(steps), terminated_by=TERMINATED_ALARM)
     return LoopTrace(steps=tuple(steps), terminated_by=TERMINATED_MAX_STEPS)
+
+
+# The pattern reader as it was before the one token loop, kept verbatim
+# apart from its name and docstring: a differential oracle for the loop.
+
+_TOKEN = re.compile(r"[()*:]|[^()*:\s]+")
+
+
+def ref_pattern_to_fst(text: str) -> Fst:
+    """pattern_to_fst as it was: recursive descent, one call per nested group."""
+    tokens = _TOKEN.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        raise FormatError(f"unrecognized characters in pattern {text!r}")
+
+    # edges[k] lists node k's (letter, target) pairs; a None letter is a
+    # silent scaffolding link, closed away by remove_silent.
+    edges: list[list[tuple[Letter | None, int]]] = []
+
+    def fresh() -> int:
+        edges.append([])
+        return len(edges) - 1
+
+    pos = [0]
+
+    def peek(offset: int = 0) -> str | None:
+        i = pos[0] + offset
+        return tokens[i] if i < len(tokens) else None
+
+    def take(expected: str | None = None) -> str:
+        tok = peek()
+        if tok is None or (expected is not None and tok != expected):
+            raise FormatError(f"bad pattern {text!r}: expected {expected or 'a token'} at token {pos[0]}")
+        pos[0] += 1
+        return tok
+
+    def parse_seq() -> tuple[int, int]:
+        start = fresh()
+        end = start
+        while peek() == "(":
+            s, e = parse_item()
+            edges[end].append((None, s))
+            end = e
+        return start, end
+
+    def parse_item() -> tuple[int, int]:
+        take("(")
+        if peek() not in ("(", ")") and peek(1) == ":":
+            left = take()
+            take(":")
+            right = take()
+            take(")")
+            if left in "()*:" or right in "()*:":
+                raise FormatError(f"bad pattern {text!r}: malformed letter")
+            letter = (symbol_from_text(left), symbol_from_text(right))
+            if letter == (EPS, EPS):
+                raise FormatError("the (eps,eps) letter cannot appear in a pattern")
+            s, e = fresh(), fresh()
+            edges[s].append((letter, e))
+        else:
+            s, e = parse_seq()
+            take(")")
+        if peek() == "*":
+            take("*")
+            outer_s, outer_e = fresh(), fresh()
+            edges[outer_s] += [(None, s), (None, outer_e)]
+            edges[e] += [(None, s), (None, outer_e)]
+            return outer_s, outer_e
+        return s, e
+
+    parse_seq()  # its start node is node 0
+    if pos[0] != len(tokens):
+        raise FormatError(f"bad pattern {text!r}: trailing tokens")
+    # The letters come from user text, and the machines built from them skip Fst's checks.
+    for sym in sorted({sym for out in edges for letter, _ in out if letter for sym in letter}):
+        _check_symbol(sym)
+    return minimize(remove_silent(edges, range(len(edges))))

@@ -73,13 +73,19 @@ class TestLearn:
         assert any(n.startswith("t_") and not n.startswith("t_inf") for n in names)
         mask_text = (dump / "mask.txt").read_text()
         assert mask_text.splitlines()[0].startswith("psi ")
+        # Rows of "%.10g" numbers; the vector t0 is written as one row.
+        assert (dump / "h_theta.txt").read_text() == "1 0\n1 1\n"
+        assert (dump / "t0.txt").read_text() == "1 0\n"
 
     def test_empty_dataset_is_an_analysis_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("# nothing recorded\n")
-        code = main(["learn", "--data", str(empty), "--out", str(tmp_path / "x.fst")])
-        assert code == 1
-        assert "dataset is empty" in capsys.readouterr().err
+        for argv in (["learn", "--data", str(empty), "--out", str(tmp_path / "x.fst")],
+                     ["hankel", "--data", str(empty)]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert err == "error: [learn] dataset is empty\n" and out == ""
+        assert not (tmp_path / "x.fst").exists()
 
 
     def test_model_without_a_recorded_letter_exits_one(self, tmp_path, capsys):
@@ -389,6 +395,9 @@ class TestDiagnostics:
              "--out", "TMP/x.txt"],
             ["sample", "--attacker", ATTACKER, "--max-len", "-2", "--out", "TMP/x.txt"],
             ["sample", "--attacker", ATTACKER, "--n", "-1", "--out", "TMP/x.txt"],
+            ["simulate", "--plant", PLANT, "--supervisor", ATTACKER, "--sensor-attacker", SENSOR,
+             "--actuator-attacker", ATTACKER, "--steps", "abc"],
+            ["sample", "--attacker", ATTACKER, "--n", "2.5", "--out", "TMP/x.txt"],
         ],
     )
     def test_negative_count_or_non_trim_simulate_machine_exits_two(self, argv, tmp_path, capsys):

@@ -97,6 +97,10 @@ class TestMachineFormat:
         with pytest.raises(FormatError):
             fst_from_text("initial 0\nfinal 0\n")
 
+    def test_comment_only_file_rejected(self):
+        with pytest.raises(FormatError, match="^empty machine file$"):
+            fst_from_text("# nothing here\n\n")
+
     def test_missing_initial_rejected(self):
         with pytest.raises(FormatError):
             fst_from_text("fst v1\nfinal 0\n")

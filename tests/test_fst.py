@@ -106,6 +106,14 @@ class TestConstruction:
         m = Fst(states=("0", "0", "1"), initial="0", transitions=frozenset(), finals=frozenset({"1"}))
         assert m.states == ("0", "1")
 
+    def test_no_states_rejected(self):
+        with pytest.raises(FormatError, match="at least one state"):
+            Fst(states=(), initial="0", transitions=frozenset(), finals=frozenset())
+
+    def test_transition_to_an_unknown_state_rejected(self):
+        with pytest.raises(FormatError, match="unknown state"):
+            Fst(states=("0",), initial="0", transitions=frozenset({("0", "x", "u", "9")}), finals=frozenset())
+
     def test_unknown_initial_rejected(self):
         with pytest.raises(FormatError):
             Fst(states=("0",), initial="9", transitions=frozenset(), finals=frozenset())

@@ -475,6 +475,14 @@ class TestSampleAttacker:
         got = sample_attacker(demo_attacker, 0, 5, seed=0)
         assert got.words == frozenset({()})
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_walk_stops_at_a_final_state_without_moves(self, seed):
+        # State 1 is final and has no move: a walk that reaches it stops
+        # there even when the 0.25 draw says go on, and records x:u.
+        attacker = Fst(("0", "1"), "0", frozenset({("0", "x", "u", "1")}), frozenset({"0", "1"}))
+        got = sample_attacker(attacker, 20, 5, seed=seed)
+        assert got.words == frozenset({(), (("x", "u"),)})
+
     def test_deterministic_per_seed(self, demo_attacker):
         a = sample_attacker(demo_attacker, 25, 4, seed=7)
         b = sample_attacker(demo_attacker, 25, 4, seed=7)

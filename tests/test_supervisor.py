@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -29,7 +30,9 @@ from fstlearn import (
     verify_resilient,
 )
 from fstlearn import fst as fst_module
-from oracles import ref_verify_resilient
+from fstlearn.formats import fst_to_text
+from oracles import ref_pattern_to_fst, ref_verify_resilient
+from test_fst import PATTERNS
 
 A1S2 = ("a1", "s2")
 A2S2 = ("a2", "s2")
@@ -261,6 +264,10 @@ class TestAgainstTheSupervisedLanguage:
         assert verify_resilient(PLANT, DELETES_X, INSERTS_X, ATTACKER, MK).resilient
 
 
+# Token strings over the pattern syntax, most of them malformed.
+PATTERN_TOKENS = st.lists(st.sampled_from(["(", ")", "*", ":", "x", "u", "<eps>", " "]), max_size=16).map("".join)
+
+
 class TestPatternToFst:
     def test_golden_specification(self, demo_mk):
         assert len(demo_mk.states) == 2
@@ -311,8 +318,30 @@ class TestPatternToFst:
             "(<eps>:<eps>)",  # the silent letter is reserved
             "(a#b:u)",  # '#' starts a comment in the text format
             "(<empty>:u)",  # the empty-word token is not a symbol
+            "(*:u)",  # a pattern token is no symbol
+            "(x:*)",
         ],
     )
     def test_malformed_patterns_rejected(self, bad):
         with pytest.raises(FormatError):
             pattern_to_fst(bad)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(PATTERN_TOKENS, PATTERNS))
+    @example("((()*(x:v)((<eps>:v)(y:<eps>)*)*))*(y:v)(y:<eps>)")
+    def test_same_machine_or_rejection_as_the_recursive_reader(self, text):
+        # The example needs each group's own end node: a starred group whose
+        # skip link ended on its last item's end could reach that starred
+        # item without the items before it.
+        def read(parse):
+            try:
+                return fst_to_text(parse(text))
+            except FormatError:
+                return None
+
+        assert read(pattern_to_fst) == read(ref_pattern_to_fst)
+
+    def test_nesting_depth_is_not_bounded_by_recursion(self):
+        depth = sys.getrecursionlimit()
+        deep = pattern_to_fst("(" * depth + "(x:u)" + ")" * depth)
+        assert fst_to_text(deep) == fst_to_text(pattern_to_fst("(x:u)"))
