@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 import traceback
 
@@ -26,7 +25,7 @@ from .formats import (
     save_fst,
     word_to_text,
 )
-from .fst import EPS, Fst, counterexample
+from .fst import Fst, counterexample
 from .hankel import block_rows, default_mask_len, eliminate, find_basis
 from .loop import LoopConfig, format_trace, run, sample_attacker
 from .spectral import LearnResult, learn_pipeline
@@ -39,10 +38,6 @@ def _load_mk(spec_text: str) -> Fst:
     if spec_text.lstrip().startswith("("):
         return pattern_to_fst(spec_text)
     return load_fst(spec_text)
-
-
-def _sanitize(symbol: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]", "_", symbol) if symbol != EPS else "eps"
 
 
 def _dump_learn(res: LearnResult, outdir: str) -> None:
@@ -66,10 +61,12 @@ def _dump_learn(res: LearnResult, outdir: str) -> None:
     save("s_new.txt", res.natural.s)
     save("t0.txt", res.tup.t0)
     save("t_inf.txt", res.tup.t_inf)
-    for chi, mat in res.hankel.h_chi.items():
-        save(f"h_chi_{_sanitize(chi[0])}_{_sanitize(chi[1])}.txt", mat)
-    for chi, mat in res.tup.trans.items():
-        save(f"t_{_sanitize(chi[0])}_{_sanitize(chi[1])}.txt", mat)
+    # Letter k of the alphabet is line k + 1 of letters.txt and names h_chi_<k> and t_<k>.
+    with open(os.path.join(outdir, "letters.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{letter_to_text(chi)}\n" for chi in res.sample.alphabet)
+    for k, chi in enumerate(res.sample.alphabet):
+        save(f"h_chi_{k}.txt", res.hankel.h_chi[chi])
+        save(f"t_{k}.txt", res.tup.trans[chi])
 
 
 def pipeline(

@@ -19,7 +19,7 @@ whitespace line denotes the empty word; comment-only lines are skipped.
 from __future__ import annotations
 
 from .errors import FormatError
-from .fst import EMPTY_TOKEN, EPS, EPS_TOKEN, Fst, Letter, SampleSet, Word, shortlex
+from .fst import EMPTY_TOKEN, EPS, EPS_TOKEN, Fst, Letter, SampleSet, Word, _check_letter, shortlex
 
 
 def symbol_to_text(sym: str) -> str:
@@ -40,8 +40,7 @@ def letter_from_text(tok: str) -> Letter:
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise FormatError(f"bad letter {tok!r}: expected in:out")
     letter = (symbol_from_text(parts[0]), symbol_from_text(parts[1]))
-    if letter == (EPS, EPS):
-        raise FormatError("the (eps,eps) letter cannot appear in a word")
+    _check_letter(letter)
     return letter
 
 
@@ -119,11 +118,12 @@ def fst_from_text(text: str) -> Fst:
 
 
 def _load(path, parse):
-    """parse(the file's text); every FormatError, not-UTF-8 included, names the path."""
+    """parse(the file's text, less one leading byte-order mark); every FormatError, not-UTF-8
+    included, names the path, and a bad byte's offset counts the file's bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return parse(data.decode("utf-8"))
+        return parse(data.decode("utf-8").removeprefix("\ufeff"))  # a byte-order mark is not text
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from exc
     except FormatError as exc:

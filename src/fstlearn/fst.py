@@ -49,6 +49,16 @@ def _check_symbol(sym: str) -> None:
         )
 
 
+def _check_letter(letter) -> None:
+    """A letter is an (in, out) pair of valid symbols, other than the implicit stay (eps, eps)."""
+    if len(letter) != 2:
+        raise FormatError(f"bad letter {letter!r}: expected an (in, out) pair")
+    if letter == (EPS, EPS):
+        raise FormatError("the (eps,eps) letter is reserved for the implicit stay transition")
+    for sym in letter:
+        _check_symbol(sym)
+
+
 def _check_state(name: str) -> None:
     if not _STATE.fullmatch(name) or name in _RESERVED:
         raise FormatError(f"bad state name {name!r}")
@@ -84,10 +94,8 @@ class Fst:
         for (s, i, o, d) in trans:
             if s not in known or d not in known:
                 raise FormatError(f"transition ({s},{i},{o},{d}) references unknown state")
-            if i == EPS and o == EPS:
-                raise FormatError("explicit (eps,eps) transition: the stay transition is implicit")
-        for sym in sorted({sym for (_, i, o, _) in trans for sym in (i, o)}):
-            _check_symbol(sym)
+        for letter in sorted({(i, o) for (_, i, o, _) in trans}):
+            _check_letter(letter)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", trans)
         object.__setattr__(self, "finals", finals)
@@ -116,6 +124,13 @@ class Fst:
         return {(i, o) for (_, i, o, _) in self.transitions}
 
 
+def _refuse_types(kinds, what: str, expected: str, refused=()) -> None:
+    """Name the first, by name, of the types in kinds that is not iterable or subclasses refused."""
+    odd = sorted(t.__name__ for t in kinds if issubclass(t, refused) or not hasattr(t, "__iter__"))
+    if odd:
+        raise FormatError(f"bad {what} of type {odd[0]}: expected {expected}")
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Deduplicated positive sample words plus their observed letter alphabet.
@@ -137,22 +152,12 @@ class SampleSet:
             kind = type(self.words).__name__
             raise FormatError(f"bad word set of type {kind}: expected an iterable of words") from None
         words = list(words)  # the one pass over any iterable
-        try:
-            raw = list(map(tuple, words))  # a tuple is not copied
-        except TypeError:  # a word that is not iterable
-            odd = sorted({t.__name__ for t in map(type, words) if not hasattr(t, "__iter__")})
-            if not odd:
-                raise
-            raise FormatError(f"bad word of type {odd[0]}: expected a sequence of letters") from None
-        try:
-            words = [tuple(map(tuple, w)) for w in raw]
-        except TypeError:  # a letter that is not iterable
-            words = None
-        if words != raw:  # some letter was not a tuple: refuse a string or a scalar
-            odd = sorted({t.__name__ for t in map(type, chain.from_iterable(raw))
-                          if issubclass(t, str) or not hasattr(t, "__iter__")})
-            if odd:
-                raise FormatError(f"bad letter of type {odd[0]}: expected an (in, out) pair")
+        _refuse_types(set(map(type, words)), "word", "a sequence of letters")
+        words = list(map(tuple, words))  # a tuple is not copied
+        kinds = set(map(type, chain.from_iterable(words)))
+        if not kinds <= {tuple}:  # refuse a string or a scalar, else copy to tuple letters
+            _refuse_types(kinds, "letter", "an (in, out) pair", str)
+            words = [tuple(map(tuple, w)) for w in words]
         try:
             words = frozenset(words)
         except TypeError:  # an unhashable symbol, named below
@@ -164,13 +169,7 @@ class SampleSet:
             raise FormatError(f"bad letter {min(odd)}: symbols must be strings")
         alphabet = tuple(sorted(letters))
         for letter in alphabet:
-            if len(letter) != 2:
-                raise FormatError(f"bad letter {letter!r}: expected an (in, out) pair")
-            i, o = letter
-            if i == EPS and o == EPS:
-                raise FormatError("stored words must not contain the (eps,eps) letter")
-            _check_symbol(i)
-            _check_symbol(o)
+            _check_letter(letter)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "alphabet", alphabet)
 

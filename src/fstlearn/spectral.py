@@ -250,7 +250,7 @@ def learn_pipeline(d: SampleSet) -> LearnResult:
     if not chosen:
         raise DegenerateRankError("decompose", _RANK_ZERO)
     zero, state = (0,) * len(mask.suffixes), {theta[i]: str(k) for k, i in enumerate(chosen)}
-    if not {*state, zero} >= set(theta):
+    if not {*state, zero} >= set(theta):  # never, by test_nonzero_mask_rows_are_distinct_and_independent
         raise NaturalityError("naturalize", _NOT_NATURAL)
     moves = {(state[src], chi, row) for chi, rows in shifted.items()
              for src, row in zip(theta, rows) if src != zero}

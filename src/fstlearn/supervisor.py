@@ -29,7 +29,7 @@ from .fst import (
     Fst,
     Letter,
     Word,
-    _check_symbol,
+    _check_letter,
     close_silent,
     compose,
     compose_steps,
@@ -130,8 +130,7 @@ def pattern_to_fst(text: str) -> Fst:
                 if left in "()*:" or right in "()*:":
                     raise FormatError(f"bad pattern {text!r}: malformed letter at token {i}")
                 letter = (symbol_from_text(left), symbol_from_text(right))
-                if letter == (EPS, EPS):
-                    raise FormatError("the (eps,eps) letter cannot appear in a pattern")
+                _check_letter(letter)  # the machines built from it skip Fst's checks
                 item = (len(edges), len(edges) + 1)
                 edges[-1].append((None, item[0]))
                 edges += [[(letter, item[1])], []]
@@ -155,7 +154,4 @@ def pattern_to_fst(text: str) -> Fst:
         i += 1
     if groups:
         raise FormatError(f"bad pattern {text!r}: {len(groups)} unclosed group(s)")
-    # The letters come from user text, and the machines built from them skip Fst's checks.
-    for sym in sorted({sym for out in edges for letter, _ in out if letter for sym in letter}):
-        _check_symbol(sym)
     return minimize(remove_silent(edges, range(len(edges))))

@@ -5,14 +5,17 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
+import numpy
 import pytest
 
 import fstlearn
 import fstlearn.hankel
-from fstlearn import Fst, invert, load_fst, save_fst
+from fstlearn import Fst, invert, learn_pipeline, load_dataset, load_fst, save_fst, word_to_text
 from fstlearn.cli import main
+from fstlearn.formats import letter_to_text
 from fstlearn.fst import MAX_STATES
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -76,6 +79,24 @@ class TestLearn:
         # Rows of "%.10g" numbers; the vector t0 is written as one row.
         assert (dump / "h_theta.txt").read_text() == "1 0\n1 1\n"
         assert (dump / "t0.txt").read_text() == "1 0\n"
+
+    def test_dump_names_each_letter_by_its_alphabet_index(self, tmp_path):
+        # Two letters that read alike once ':' becomes '_': file names must not come from symbols.
+        letters = [("x_y", "z"), ("x", "y_z")]
+        data = tmp_path / "data.txt"
+        data.write_text("".join(f"{word_to_text(w)}\n" for n in range(4) for w in product(letters, repeat=n)))
+        dump = tmp_path / "dump"
+        assert main(["learn", "--data", str(data), "--out", str(tmp_path / "learned.fst"),
+                     "--dump-intermediates", str(dump)]) == 0
+        res = learn_pipeline(load_dataset(str(data)))
+        assert sorted(res.sample.alphabet) == sorted(letters)
+        letters_text = (dump / "letters.txt").read_text()
+        assert letters_text == "".join(f"{letter_to_text(chi)}\n" for chi in res.sample.alphabet)
+        indexed = sorted(p.name for p in dump.glob("*_[0-9]*.txt"))
+        assert indexed == ["h_chi_0.txt", "h_chi_1.txt", "t_0.txt", "t_1.txt"]
+        for k, chi in enumerate(res.sample.alphabet):
+            assert (numpy.loadtxt(dump / f"h_chi_{k}.txt", ndmin=2) == res.hankel.h_chi[chi]).all()
+            assert numpy.allclose(numpy.loadtxt(dump / f"t_{k}.txt", ndmin=2), res.tup.trans[chi], rtol=0, atol=1e-9)
 
     def test_empty_dataset_is_an_analysis_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
@@ -424,8 +445,12 @@ class TestDiagnostics:
     @pytest.mark.parametrize(
         "content, problem",
         [(b"a1:a3\na1 a1:a2\n", "line 2: bad letter 'a1': expected in:out"),
-         (b"a1:a3\n\xff\n", "not UTF-8 text (bad byte at offset 6)")],
-        ids=["bad-letter", "not-utf8"],
+         (b"a1:a3\n\xff\n", "not UTF-8 text (bad byte at offset 6)"),
+         (b"<empty>\na1:a3\na1:<empty>\n",
+          "line 3: bad symbol '<empty>': no whitespace, ':' or '#', and reserved tokens are not symbols"),
+         (b"a1:a3 <eps>:<eps>\n", "line 1: the (eps,eps) letter is reserved for the implicit stay transition"),
+         (b"\xef\xbb\xbfa1:a3\n\xff\n", "not UTF-8 text (bad byte at offset 9)")],
+        ids=["bad-letter", "not-utf8", "bad-symbol", "stay-letter", "bom-then-not-utf8"],
     )
     def test_bad_dataset_is_named_once(self, content, problem, tmp_path, capsys):
         bad = tmp_path / "actuator.txt"

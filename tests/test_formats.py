@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from fstlearn import (
     SampleSet,
     fst_from_text,
     fst_to_text,
+    load_dataset,
+    load_fst,
     sampleset_from_text,
     sampleset_to_text,
     word_from_text,
@@ -23,6 +26,8 @@ import fstlearn.formats as formats
 from fstlearn.formats import grid, letter_from_text, letter_to_text
 from oracles import PAIR_LETTERS, ref_sampleset_from_text
 from test_fst import machines
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 # Dataset tokens: valid letters (<eps> on either side), the empty-word
@@ -172,18 +177,22 @@ class TestDatasetFormat:
         assert sampleset_to_text(d) == "<empty>\ny:v\nx:u x:u\n"
 
 
+class TestByteOrderMark:
+    """One leading U+FEFF is not text: it neither joins the first token nor hides the header."""
+
+    @pytest.mark.parametrize("name, load", [("attacker_samples.txt", load_dataset), ("mk.fst", load_fst)])
+    def test_demo_files_with_a_bom_load_as_without(self, name, load, tmp_path):
+        bom = tmp_path / name
+        bom.write_bytes(b"\xef\xbb\xbf" + (DEMO / name).read_bytes())
+        assert load(str(bom)) == load(str(DEMO / name))
+
+
 class TestGrid:
     def test_alignment_and_labels(self):
-        mat = np.array([[1.0, 0.0], [0.0, 1.0]])
-        rows = [(), (("x", "u"),)]
-        cols = [(), (("y", "v"),)]
-        out = grid(mat, rows, cols, "H_theta")
-        lines = out.splitlines()
-        assert lines[0] == "H_theta"
-        assert "<empty>" in lines[1] and "y:v" in lines[1]
-        assert lines[2].startswith("<empty>")
-        assert lines[3].startswith("x:u")
+        out = grid([(1, 0), (0, 1)], [(), (("x", "u"),)], [(), (("y", "v"),)], "H_theta")
+        assert out == "H_theta\n        <empty> y:v\n<empty>       1   0\nx:u           0   1\n"
 
-    def test_non_integral_entries_keep_precision(self):
-        out = grid(np.array([[0.5]]), [()], [()], "m")
-        assert "0.5" in out
+    def test_each_column_is_as_wide_as_its_label(self):
+        xu, yv = ("x", "u"), ("y", "v")
+        out = grid([(0, 1, 1)], [(xu, yv)], [(), (xu,), (xu, yv)], "m")
+        assert out == "m\n        <empty> x:u x:u y:v\nx:u y:v       0   1       1\n"

@@ -31,6 +31,7 @@ from fstlearn import (
     trim,
     tuple_to_fst,
 )
+from fstlearn.hankel import block_rows, eliminate
 from conftest import (
     CHI1,
     CHI2,
@@ -206,6 +207,22 @@ class TestFindBasis:
         mask = find_basis(d, max_len)
         got = numeric_rank(build_h_theta(d, mask))
         assert got == full_candidate_rank(set(words), max_len)
+
+    @given(
+        words=words_strategy(max_words=8, max_len=5),
+        prefix_closed=st.booleans(),
+        max_len=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_nonzero_mask_rows_are_distinct_and_independent(self, words, prefix_closed, max_len):
+        # Each row find_basis adds holds a pivot, so every nonzero H_Theta row
+        # becomes a state in learn_pipeline and its [naturalize] guard never fires.
+        if prefix_closed:
+            words = {w[:k] for w in words for k in range(len(w) + 1)}
+        d = SampleSet.from_words(words)
+        theta = block_rows(d, find_basis(d, max_len), ())
+        nonzero = [row for row in theta if any(row)]
+        assert len(eliminate(theta)) == len(nonzero) == len(set(nonzero))
 
     @given(words=words_strategy(), max_len=st.integers(min_value=0, max_value=2))
     @settings(max_examples=60, deadline=None)
