@@ -118,26 +118,20 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _loop_machines(args: argparse.Namespace) -> tuple[Fst, ...]:
+    """The loop's four machines, loaded in verify_resilient's and LoopConfig's order."""
+    return tuple(map(load_fst, (args.plant, args.supervisor, args.sensor_attacker, args.actuator_attacker)))
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    result = verify_resilient(
-        load_fst(args.plant),
-        load_fst(args.supervisor),
-        load_fst(args.sensor_attacker),
-        load_fst(args.actuator_attacker),
-        _load_mk(args.mk),
-    )
+    result = verify_resilient(*_loop_machines(args), _load_mk(args.mk))
     return _verdict("RESILIENT", result.witness)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    machines = dict(
-        plant=load_fst(args.plant),
-        supervisor=load_fst(args.supervisor),
-        sensor_attacker=load_fst(args.sensor_attacker),
-        actuator_attacker=load_fst(args.actuator_attacker),
-    )
+    machines = _loop_machines(args)
     try:
-        cfg = LoopConfig(**machines, max_steps=args.steps, seed=args.seed)
+        cfg = LoopConfig(*machines, max_steps=args.steps, seed=args.seed)
     except ValueError as exc:  # a machine that is not trim
         raise FormatError(str(exc)) from exc
     text = format_trace(run(cfg))
@@ -210,6 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="random seed")
+    loop = argparse.ArgumentParser(add_help=False)
+    for flag in ("--plant", "--supervisor", "--sensor-attacker", "--actuator-attacker"):
+        loop.add_argument(flag, required=True)
 
     parser = argparse.ArgumentParser(prog="fstlearn", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -226,19 +223,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output supervisor FST file")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("verify", help="check a supervisor for resilience")
-    p.add_argument("--plant", required=True)
-    p.add_argument("--supervisor", required=True)
-    p.add_argument("--sensor-attacker", required=True)
-    p.add_argument("--actuator-attacker", required=True)
+    p = sub.add_parser("verify", parents=[loop], help="check a supervisor for resilience")
     p.add_argument("--mk", required=True, help="desired-language FST file or pattern")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("simulate", parents=[seeded], help="run the clocked control loop")
-    p.add_argument("--plant", required=True)
-    p.add_argument("--supervisor", required=True)
-    p.add_argument("--sensor-attacker", required=True)
-    p.add_argument("--actuator-attacker", required=True)
+    p = sub.add_parser("simulate", parents=[seeded, loop], help="run the clocked control loop")
     p.add_argument("--steps", type=_count, default=20)
     p.add_argument("--trace-out", default=None, help="trace file (default stdout)")
     p.set_defaults(func=_cmd_simulate)

@@ -19,7 +19,7 @@ whitespace line denotes the empty word; comment-only lines are skipped.
 from __future__ import annotations
 
 from .errors import FormatError
-from .fst import EMPTY_TOKEN, EPS, EPS_TOKEN, Fst, Letter, SampleSet, Word, _check_letter, shortlex
+from .fst import EMPTY_TOKEN, EPS, EPS_TOKEN, Fst, Letter, SampleSet, Word, _check_letter, _check_state, shortlex
 
 
 def symbol_to_text(sym: str) -> str:
@@ -72,49 +72,56 @@ def fst_to_text(f: Fst) -> str:
 
 
 def fst_from_text(text: str) -> Fst:
+    """Each distinct state name and letter is checked on the line it first appears on, which a
+    bad one names; the machine is built from parts so checked, without Fst's checks."""
     initial = None
     finals: list[str] = []
     trans: list[tuple[str, str, str, str]] = []
     states: dict[str, None] = {}
+    letters: set[Letter] = set()
     saw_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if not saw_header:
-            if line != "fst v1":
-                raise FormatError(f"line {lineno}: expected header 'fst v1'")
-            saw_header = True
-            continue
         toks = line.split()
-        if toks[0] == "initial":
-            if len(toks) != 2 or initial is not None:
-                raise FormatError(f"line {lineno}: bad or duplicate initial line")
-            initial = toks[1]
-            states.setdefault(initial)
-        elif toks[0] == "final":
-            for s in toks[1:]:
-                finals.append(s)
-                states.setdefault(s)
-        elif toks[0] == "trans":
-            if len(toks) != 5:
-                raise FormatError(f"line {lineno}: expected 'trans src in out dst'")
-            _, s, i, o, d = toks
-            states.setdefault(s)
-            states.setdefault(d)
-            trans.append((s, symbol_from_text(i), symbol_from_text(o), d))
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {toks[0]!r}")
+        try:
+            if not saw_header:
+                if line != "fst v1":
+                    raise FormatError("expected header 'fst v1'")
+                saw_header = True
+                continue
+            if toks[0] == "initial":
+                if len(toks) != 2 or initial is not None:
+                    raise FormatError("bad or duplicate initial line")
+                initial = toks[1]
+                named = [initial]
+            elif toks[0] == "final":
+                finals += toks[1:]
+                named = toks[1:]
+            elif toks[0] == "trans":
+                if len(toks) != 5:
+                    raise FormatError("expected 'trans src in out dst'")
+                _, s, i, o, d = toks
+                letter = (symbol_from_text(i), symbol_from_text(o))
+                if letter not in letters:
+                    _check_letter(letter)
+                    letters.add(letter)
+                trans.append((s, *letter, d))
+                named = [s, d]
+            else:
+                raise FormatError(f"unknown directive {toks[0]!r}")
+            for name in named:
+                if name not in states:
+                    _check_state(name)
+                    states[name] = None
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
     if not saw_header:
         raise FormatError("empty machine file")
     if initial is None:
         raise FormatError("machine file has no initial line")
-    return Fst(
-        states=tuple(states),
-        initial=initial,
-        transitions=frozenset(trans),
-        finals=frozenset(finals),
-    )
+    return Fst._trusted(tuple(states), initial, frozenset(trans), frozenset(finals))
 
 
 def _load(path, parse):

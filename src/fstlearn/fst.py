@@ -280,7 +280,7 @@ def trim(fst: Fst) -> Fst:
 def _machine(arcs, finals) -> Fst:
     """The trim machine of a numbered graph, built once and marked trim.
 
-    arcs[k] lists node k's (in, out, target) moves, as close_silent gives
+    arcs[k] lists node k's (in, out, target) moves, as explore gives
     them, and node 0 is initial. The nodes _trim_order keeps, given moves
     sorted as it needs, are named "0".."n-1" in its order.
     """
@@ -301,12 +301,12 @@ def _machine(arcs, finals) -> Fst:
 def explore(start, moves, what: str, stop=None):
     """Breadth-first walk from start, numbering nodes in discovery order.
 
-    moves(node) yields (label, target node) pairs. Returns (order, edges):
-    order[k] is node k and edges[k] lists its (label, target number)
-    pairs in the order moves gave them. If stop(node) holds for a node
-    as it is taken up, the walk ends there, before expanding it; that
-    node is order[len(edges)]. A walk that would number more than
-    MAX_STATES nodes raises ResourceLimitError naming `what`.
+    moves(node) yields (in, out, target node) moves, (EPS, EPS) for a silent
+    step. Returns (order, edges): order[k] is node k and edges[k] lists its
+    (in, out, target number) moves in the order moves gave them. If
+    stop(node) holds for a node as it is taken up, the walk ends there,
+    before expanding it; that node is order[len(edges)]. A walk that would
+    number more than MAX_STATES nodes raises ResourceLimitError naming `what`.
     """
     index = {start: 0}
     order = [start]
@@ -315,72 +315,72 @@ def explore(start, moves, what: str, stop=None):
         if stop is not None and stop(node):
             break
         out = []
-        for label, tgt in moves(node):
+        for i, o, tgt in moves(node):
             k = index.get(tgt)
             if k is None:
                 if len(order) >= MAX_STATES:
                     raise ResourceLimitError(f"{what} exceeded the {MAX_STATES}-state bound")
                 k = index[tgt] = len(order)
                 order.append(tgt)
-            out.append((label, k))
+            out.append((i, o, k))
         edges.append(out)
     return order, edges
+
+
+def _closure(edges, nodes) -> frozenset:
+    """The nodes reached from nodes by silent (EPS, EPS) moves, nodes included."""
+    seen = set(nodes)
+    stack = list(seen)
+    while stack:
+        for (i, o, t) in edges[stack.pop()]:
+            if i == o == EPS and t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return frozenset(seen)
 
 
 def close_silent(edges, finals) -> SimpleNamespace:
     """A numbered graph with its silent steps closed: (initial, arcs, finals).
 
-    Node 0 is initial; edges[k] lists node k's (label, target) pairs,
-    where a label is a pair letter or None for a silent step. Node k
-    takes the letter edges of every node silently reachable from it,
-    listed in arcs[k] as (in, out, target) moves, and is final when any
-    of those nodes is in finals. counterexample reads it as a side.
+    Node 0 is initial; edges[k] lists node k's (in, out, target) moves, as
+    explore gives them. Node k takes the letter moves of every node in
+    its _closure, listed in arcs[k], and is final when any of those nodes
+    is in finals; a node with no silent move keeps its list as it is.
+    counterexample reads the result as a side and _machine builds it.
     """
     arcs = []
     final = set()
     for k, out in enumerate(edges):
-        members = [k]
-        if any(label is None for label, _ in out):
-            seen = {k}
-            for m in members:
-                for label, t in edges[m]:
-                    if label is None and t not in seen:
-                        seen.add(t)
-                        members.append(t)
-        moves = []
-        for m in members:
-            if m in finals:
+        if any(i == o == EPS for i, o, _ in out):
+            members = _closure(edges, [k])
+            out = [m for n in members for m in edges[n] if not m[0] == m[1] == EPS]
+            if not finals.isdisjoint(members):
                 final.add(k)
-            moves += [(label[0], label[1], t) for label, t in edges[m] if label is not None]
-        arcs.append(moves)
+        elif k in finals:
+            final.add(k)
+        arcs.append(out)
     return SimpleNamespace(initial=0, arcs=arcs, finals=final)
 
 
-def remove_silent(edges, finals) -> Fst:
-    """The trimmed, canonically named machine of close_silent(edges, finals)."""
-    closed = close_silent(edges, finals)
-    return _machine(closed.arcs, closed.finals)
-
-
 def compose_steps(a_arcs, b_arcs, p, q):
-    """compose's product steps from the state pair (p, q).
+    """compose's product moves from the state pair (p, q).
 
     a_arcs and b_arcs are the (in, out, dst) moves of p and q. Yields
-    (in, out, p2, q2) per step; in == out == EPS marks a silent one.
-    a_arcs may hold such silent steps of an inner composition: b meets
-    each with its implicit stay, like any empty message.
+    (in, out, (p2, q2)) moves; (EPS, EPS) marks a silent one. a_arcs may
+    hold such silent moves of an inner composition: b meets each with
+    its implicit stay, like any empty message.
     """
     for (i, m, p2) in a_arcs:
         if m == EPS:
             # b consumes the empty message with its implicit stay
-            yield i, EPS, p2, q
+            yield i, EPS, (p2, q)
         for (m2, o, q2) in b_arcs:
             if m2 == m:
-                yield i, o, p2, q2
+                yield i, o, (p2, q2)
     for (m2, o, q2) in b_arcs:
         if m2 == EPS:
             # a emits the empty message with its implicit stay
-            yield EPS, o, p, q2
+            yield EPS, o, (p, q2)
 
 
 def compose(a: Fst, b: Fst) -> Fst:
@@ -395,16 +395,16 @@ def compose(a: Fst, b: Fst) -> Fst:
 
     def moves(node):
         p, q = node
-        for (i, o, p2, q2) in compose_steps(a.arcs[p], b.arcs[q], p, q):
-            yield (None if i == EPS and o == EPS else (i, o)), (p2, q2)
+        return compose_steps(a.arcs[p], b.arcs[q], p, q)
 
     order, edges = explore((a.initial, b.initial), moves, "composition")
     finals = {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals}
-    return remove_silent(edges, finals)
+    closed = close_silent(edges, finals)
+    return _machine(closed.arcs, closed.finals)
 
 
 def intersect(a: Fst, b: Fst) -> Fst:
-    """Product acceptor over identical pair letters; L = L(a) and L(b)."""
+    """Product acceptor over identical pair letters; L = L(a) and L(b), with no silent move to close."""
 
     def moves(node):
         p, q = node
@@ -413,27 +413,29 @@ def intersect(a: Fst, b: Fst) -> Fst:
             moves_b.setdefault((i, o), []).append(q2)
         for (i, o, p2) in a.arcs[p]:
             for q2 in moves_b.get((i, o), ()):
-                yield (i, o), (p2, q2)
+                yield i, o, (p2, q2)
 
     order, edges = explore((a.initial, b.initial), moves, "intersection")
-    finals = {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals}
-    return remove_silent(edges, finals)
+    return _machine(edges, {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals})
 
 
-def _subsets(fst: Fst, stop=None):
+def _subsets(arcs, start, stop=None, close=frozenset):
     """Partial subset construction over pair letters, one walk.
 
-    Returns explore's (order, edges): order[k] is a frozenset of states,
-    order[0] the initial subset, and edges[k] its (letter, target) pairs in
-    sorted letter order. The empty subset is never created (a missing
-    letter simply has no edge). stop is passed on to explore.
+    arcs maps each state to its (in, out, dst) moves, as Fst.arcs does, and
+    close a set of states to its subset; a silent (EPS, EPS) move is left
+    to close. Returns explore's (order, edges): order[0] is close(start) and
+    edges[k] lists order[k]'s moves in sorted letter order. The empty subset
+    is never created (a missing letter simply has no move). stop is passed
+    on to explore.
     """
 
     def moves(sub):
-        succ = _successors(fst.arcs, sub)
-        return [(letter, frozenset(succ[letter])) for letter in sorted(succ)]
+        succ = _successors(arcs, sub)
+        succ.pop((EPS, EPS), None)
+        return [(i, o, close(succ[i, o])) for (i, o) in sorted(succ)]
 
-    return explore(frozenset([fst.initial]), moves, "determinization", stop)
+    return explore(close(start), moves, "determinization", stop)
 
 
 def minimize(fst: Fst) -> Fst:
@@ -446,19 +448,19 @@ def minimize(fst: Fst) -> Fst:
     to the single-state machine with no finals.
     """
     t = trim(fst)
-    order, edges = _subsets(t)
+    order, edges = _subsets(t.arcs, [t.initial])
     cls = [1 if sub & t.finals else 0 for sub in order]
     while True:
         sig: dict[tuple, int] = {}
         new = [
-            sig.setdefault((cls[k], tuple((letter, cls[d]) for letter, d in out)), len(sig))
+            sig.setdefault((cls[k], tuple((i, o, cls[d]) for i, o, d in out)), len(sig))
             for k, out in enumerate(edges)
         ]
         if new == cls:
             break
         cls = new
     member = {c: k for k, c in enumerate(cls)}  # the subsets of a class share their moves
-    arcs = [[(i, o, cls[d]) for (i, o), d in edges[member[c]]] for c in range(len(member))]
+    arcs = [[(i, o, cls[d]) for i, o, d in edges[member[c]]] for c in range(len(member))]
     return _machine(arcs, {c for c, sub in zip(cls, order) if sub & t.finals})
 
 
@@ -478,7 +480,7 @@ def counterexample(a, b) -> Word | None:
     def moves(node):
         ma, mb = _successors(a.arcs, node[0]), _successors(b.arcs, node[1])
         for letter in sorted(ma.keys() | mb.keys()):
-            yield letter, (frozenset(ma.get(letter, ())), frozenset(mb.get(letter, ())))
+            yield *letter, (frozenset(ma.get(letter, ())), frozenset(mb.get(letter, ())))
 
     def differ(node):
         return a.finals.isdisjoint(node[0]) != b.finals.isdisjoint(node[1])
@@ -490,8 +492,8 @@ def counterexample(a, b) -> Word | None:
         return None
     first: dict[int, tuple[int, Letter]] = {}
     for src, out in enumerate(edges):
-        for letter, t in out:
-            first.setdefault(t, (src, letter))
+        for i, o, t in out:
+            first.setdefault(t, (src, (i, o)))
     w = []
     while k:
         k, letter = first[k]
@@ -538,7 +540,7 @@ def is_prefix_closed(fst: Fst) -> bool:
     t = trim(fst)
     if not t.finals or t.finals == frozenset(t.states):
         return True
-    order, edges = _subsets(t, stop=lambda sub: not sub & t.finals)
+    order, edges = _subsets(t.arcs, [t.initial], stop=lambda sub: not sub & t.finals)
     return len(edges) == len(order)
 
 

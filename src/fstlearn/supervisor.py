@@ -27,9 +27,11 @@ from .formats import symbol_from_text
 from .fst import (
     EPS,
     Fst,
-    Letter,
     Word,
     _check_letter,
+    _closure,
+    _machine,
+    _subsets,
     close_silent,
     compose,
     compose_steps,
@@ -39,7 +41,6 @@ from .fst import (
     invert,
     is_prefix_closed,
     minimize,
-    remove_silent,
 )
 
 
@@ -78,7 +79,7 @@ def verify_resilient(p: Fst, s: Fst, a_s: Fst, a_a: Fst, m_k: Fst) -> SynthesisR
 
     The loop is numbered once, its silent steps are closed, and
     counterexample compares it with m_k, so no machine is built. A loop
-    node is (a_s state, s state, a_a state, p state). Its moves are those
+    node is ((a_s state, s state), a_a state, p state). Its moves are those
     of compose(compose(a_s, s), a_a), silent ones included, taken together
     with a plant step on the inverted letter; a silent move leaves the
     plant where it is. A node accepts when all four states are final.
@@ -86,20 +87,20 @@ def verify_resilient(p: Fst, s: Fst, a_s: Fst, a_a: Fst, m_k: Fst) -> SynthesisR
     """
 
     def moves(node):
-        x, y, z, w = node
-        inner = ((i, m, (x2, y2)) for (i, m, x2, y2) in compose_steps(a_s.arcs[x], s.arcs[y], x, y))
-        for (i, o, (x2, y2), z2) in compose_steps(inner, a_a.arcs[z], (x, y), z):
-            if i == EPS and o == EPS:
-                yield None, (x2, y2, z2, w)
+        xy, z, w = node
+        inner = compose_steps(a_s.arcs[xy[0]], s.arcs[xy[1]], *xy)
+        for (i, o, (xy2, z2)) in compose_steps(inner, a_a.arcs[z], xy, z):
+            if i == o == EPS:
+                yield EPS, EPS, (xy2, z2, w)
                 continue
             for (pi, po, w2) in p.arcs[w]:
                 if pi == o and po == i:
-                    yield (o, i), (x2, y2, z2, w2)
+                    yield o, i, (xy2, z2, w2)
 
-    start = (a_s.initial, s.initial, a_a.initial, p.initial)
+    start = ((a_s.initial, s.initial), a_a.initial, p.initial)
     order, edges = explore(start, moves, "equivalence check")
     finals = {
-        k for k, (x, y, z, w) in enumerate(order)
+        k for k, ((x, y), z, w) in enumerate(order)
         if x in a_s.finals and y in s.finals and z in a_a.finals and w in p.finals
     }
     witness = counterexample(close_silent(edges, finals), m_k)
@@ -117,12 +118,11 @@ _TOKEN = re.compile(r"[()*:]|[^()*:\s]+")
 def pattern_to_fst(text: str) -> Fst:
     """The machine of a pattern, read token by token with a stack of open groups."""
     tokens = _TOKEN.findall(text)
-    # edges[k] lists node k's (letter, target) pairs; a None letter is a
-    # silent scaffolding link, closed away by remove_silent. Node 0 starts
-    # the pattern and the last node ends what is read so far. `item` is the
-    # (start, end) of the item just closed, the one a star may follow, and
-    # `groups` holds the start of each open group.
-    edges: list[list[tuple[Letter | None, int]]] = [[]]
+    # edges[k] lists node k's (in, out, target) moves, (EPS, EPS) for a silent
+    # scaffolding link. Node 0 starts the pattern and the last node ends what is
+    # read so far. `item` is the (start, end) of the item just closed, the one a
+    # star may follow, and `groups` holds the start of each open group.
+    edges: list[list[tuple[str, str, int]]] = [[]]
     item, groups, i = None, [], 0
     while i < len(tokens):
         match tokens[i : i + 5]:
@@ -132,26 +132,28 @@ def pattern_to_fst(text: str) -> Fst:
                 letter = (symbol_from_text(left), symbol_from_text(right))
                 _check_letter(letter)  # the machines built from it skip Fst's checks
                 item = (len(edges), len(edges) + 1)
-                edges[-1].append((None, item[0]))
-                edges += [[(letter, item[1])], []]
+                edges[-1].append((EPS, EPS, item[0]))
+                edges += [[(*letter, item[1])], []]
                 i += 4  # and 1 below: past the letter's five tokens
             case ["(", *_]:
                 groups.append(len(edges))
-                edges[-1].append((None, len(edges)))
+                edges[-1].append((EPS, EPS, len(edges)))
                 edges.append([])
                 item = None
             case [")", *_] if groups:
                 # A fresh end node: a star's links must not touch an inner item's nodes.
                 item = (groups.pop(), len(edges))
-                edges[-1].append((None, item[1]))
+                edges[-1].append((EPS, EPS, item[1]))
                 edges.append([])
             case ["*", *_] if item:
-                edges[item[0]].append((None, item[1]))
-                edges[item[1]].append((None, item[0]))
+                edges[item[0]].append((EPS, EPS, item[1]))
+                edges[item[1]].append((EPS, EPS, item[0]))
                 item = None
             case [tok, *_]:
                 raise FormatError(f"bad pattern {text!r}: unexpected {tok!r} at token {i}")
         i += 1
     if groups:
         raise FormatError(f"bad pattern {text!r}: {len(groups)} unclosed group(s)")
-    return minimize(remove_silent(edges, range(len(edges))))
+    # One walk over subsets of token nodes closed under silent links; all are final.
+    _, moves = _subsets(edges, [0], close=lambda nodes: _closure(edges, nodes))
+    return minimize(_machine(moves, range(len(moves))))

@@ -31,7 +31,6 @@ from fstlearn.fst import (
     explore,
     language_upto,
     minimize,
-    remove_silent,
     trim,
 )
 import fstlearn.hankel
@@ -334,6 +333,54 @@ def ref_sampleset_from_text(text: str) -> SampleSet:
     return SampleSet(words)
 
 
+def ref_fst_from_text(text: str) -> Fst:
+    """Machine-file parsing as it was before each line's states and letter
+    were checked as read: Fst's own checks run on the whole machine at the end."""
+    initial = None
+    finals: list[str] = []
+    trans: list[tuple[str, str, str, str]] = []
+    states: dict[str, None] = {}
+    saw_header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not saw_header:
+            if line != "fst v1":
+                raise FormatError(f"line {lineno}: expected header 'fst v1'")
+            saw_header = True
+            continue
+        toks = line.split()
+        if toks[0] == "initial":
+            if len(toks) != 2 or initial is not None:
+                raise FormatError(f"line {lineno}: bad or duplicate initial line")
+            initial = toks[1]
+            states.setdefault(initial)
+        elif toks[0] == "final":
+            for s in toks[1:]:
+                finals.append(s)
+                states.setdefault(s)
+        elif toks[0] == "trans":
+            if len(toks) != 5:
+                raise FormatError(f"line {lineno}: expected 'trans src in out dst'")
+            _, s, i, o, d = toks
+            states.setdefault(s)
+            states.setdefault(d)
+            trans.append((s, symbol_from_text(i), symbol_from_text(o), d))
+        else:
+            raise FormatError(f"line {lineno}: unknown directive {toks[0]!r}")
+    if not saw_header:
+        raise FormatError("empty machine file")
+    if initial is None:
+        raise FormatError("machine file has no initial line")
+    return Fst(
+        states=tuple(states),
+        initial=initial,
+        transitions=frozenset(trans),
+        finals=frozenset(finals),
+    )
+
+
 # Ground-truth generators for the learning suite. The spectral method
 # matches minimal state counts only when the candidate Hankel rank does,
 # so the generator rejects machines whose binary Hankel rank falls below
@@ -413,15 +460,23 @@ def ref_canonical(fst: Fst) -> Fst:
     )
 
 
+def ref_machine(arcs, finals) -> Fst:
+    """The trimmed, canonically named machine of a numbered graph.
+
+    arcs[k] lists node k's (in, out, target) moves and node 0 is initial.
+    """
+    names = [str(k) for k in range(len(arcs))]
+    transitions = frozenset(
+        (names[k], i, o, names[t]) for k, moves in enumerate(arcs) for (i, o, t) in moves
+    )
+    raw = Fst(tuple(names), "0", transitions, frozenset(names[k] for k in finals))
+    return ref_canonical(trim(raw))
+
+
 def ref_remove_silent(edges, finals) -> Fst:
     """The trimmed, canonically named machine of close_silent(edges, finals)."""
     closed = close_silent(edges, finals)
-    names = [str(k) for k in range(len(edges))]
-    transitions = frozenset(
-        (names[k], i, o, names[t]) for k, moves in enumerate(closed.arcs) for (i, o, t) in moves
-    )
-    raw = Fst(tuple(names), "0", transitions, frozenset(names[k] for k in closed.finals))
-    return ref_canonical(trim(raw))
+    return ref_machine(closed.arcs, closed.finals)
 
 
 # The subset-construction consumers as they were before they walked the
@@ -440,11 +495,11 @@ def ref_determinize(fst: Fst):
 
     def moves(sub):
         succ = _successors(fst.arcs, sub)
-        return [(letter, frozenset(succ[letter])) for letter in sorted(succ)]
+        return [(*letter, frozenset(succ[letter])) for letter in sorted(succ)]
 
     order, edges = explore(frozenset([fst.initial]), moves, "determinization")
     finals = {k for k, sub in enumerate(order) if sub & fst.finals}
-    return [dict(out) for out in edges], finals
+    return [{(i, o): t for i, o, t in out} for out in edges], finals
 
 
 def ref_minimize(fst: Fst) -> Fst:
@@ -503,7 +558,7 @@ def ref_counterexample(a: Fst, b: Fst) -> Word | None:
             ta = da[sa].get(letter) if sa is not None else None
             tb = db[sb].get(letter) if sb is not None else None
             if ta is not None or tb is not None:
-                yield letter, (ta, tb)
+                yield *letter, (ta, tb)
 
     def differ(node):
         return (node[0] in fa) != (node[1] in fb)
@@ -514,8 +569,8 @@ def ref_counterexample(a: Fst, b: Fst) -> Word | None:
         return None
     first: dict[int, tuple[int, Letter]] = {}
     for src, out in enumerate(edges):
-        for letter, t in out:
-            first.setdefault(t, (src, letter))
+        for i, o, t in out:
+            first.setdefault(t, (src, (i, o)))
     w = []
     while k:
         k, letter = first[k]
@@ -610,7 +665,8 @@ def ref_run(cfg: LoopConfig) -> LoopTrace:
 
 
 # The pattern reader as it was before the one token loop, kept verbatim
-# apart from its name and docstring: a differential oracle for the loop.
+# apart from its name, its docstring, the (in, out, target) move shape and
+# the reference builders it ends with: a differential oracle for the loop.
 
 _TOKEN = re.compile(r"[()*:]|[^()*:\s]+")
 
@@ -621,9 +677,9 @@ def ref_pattern_to_fst(text: str) -> Fst:
     if "".join(tokens) != "".join(text.split()):
         raise FormatError(f"unrecognized characters in pattern {text!r}")
 
-    # edges[k] lists node k's (letter, target) pairs; a None letter is a
-    # silent scaffolding link, closed away by remove_silent.
-    edges: list[list[tuple[Letter | None, int]]] = []
+    # edges[k] lists node k's (in, out, target) moves; an (EPS, EPS) move is
+    # a silent scaffolding link, closed away by close_silent.
+    edges: list[list[tuple[str, str, int]]] = []
 
     def fresh() -> int:
         edges.append([])
@@ -647,7 +703,7 @@ def ref_pattern_to_fst(text: str) -> Fst:
         end = start
         while peek() == "(":
             s, e = parse_item()
-            edges[end].append((None, s))
+            edges[end].append((EPS, EPS, s))
             end = e
         return start, end
 
@@ -664,15 +720,15 @@ def ref_pattern_to_fst(text: str) -> Fst:
             if letter == (EPS, EPS):
                 raise FormatError("the (eps,eps) letter cannot appear in a pattern")
             s, e = fresh(), fresh()
-            edges[s].append((letter, e))
+            edges[s].append((*letter, e))
         else:
             s, e = parse_seq()
             take(")")
         if peek() == "*":
             take("*")
             outer_s, outer_e = fresh(), fresh()
-            edges[outer_s] += [(None, s), (None, outer_e)]
-            edges[e] += [(None, s), (None, outer_e)]
+            edges[outer_s] += [(EPS, EPS, s), (EPS, EPS, outer_e)]
+            edges[e] += [(EPS, EPS, s), (EPS, EPS, outer_e)]
             return outer_s, outer_e
         return s, e
 
@@ -680,6 +736,6 @@ def ref_pattern_to_fst(text: str) -> Fst:
     if pos[0] != len(tokens):
         raise FormatError(f"bad pattern {text!r}: trailing tokens")
     # The letters come from user text, and the machines built from them skip Fst's checks.
-    for sym in sorted({sym for out in edges for letter, _ in out if letter for sym in letter}):
+    for sym in sorted({sym for out in edges for move in out for sym in move[:2]}):
         _check_symbol(sym)
-    return minimize(remove_silent(edges, range(len(edges))))
+    return ref_minimize(ref_remove_silent(edges, set(range(len(edges)))))

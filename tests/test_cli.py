@@ -466,6 +466,23 @@ class TestDiagnostics:
         assert main(["equiv", ATTACKER, str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {bad}: line 3: expected 'trans src in out dst'\n"
 
+    def test_bad_symbol_in_a_machine_file_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "colon.fst"
+        bad.write_text("fst v1\ninitial 0\nfinal 0\ntrans 0 a:b u 0\n")
+        assert main(["equiv", ATTACKER, str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 4: bad symbol 'a:b': no whitespace, ':' or '#', and reserved tokens are not symbols\n"
+        )
+
+    @pytest.mark.parametrize("command", [["verify", "--mk", MK], ["simulate", "--steps", "1"]])
+    def test_loop_machines_load_in_the_loop_order(self, command, monkeypatch, golden_supervisor_file):
+        loaded = []
+        monkeypatch.setattr(fstlearn.cli, "load_fst", lambda path: loaded.append(path) or load_fst(path))
+        argv = [*command, "--actuator-attacker", ATTACKER, "--sensor-attacker", SENSOR,
+                "--supervisor", golden_supervisor_file, "--plant", PLANT]
+        assert main(argv) == 0
+        assert loaded[:4] == [PLANT, golden_supervisor_file, SENSOR, ATTACKER]
+
     def test_mk_that_is_not_a_pattern_names_the_missing_file(self, tmp_path, capsys):
         typo = str(DEMO / "mkk.fst")
         argv = ["verify", "--plant", PLANT, "--supervisor", PLANT, "--sensor-attacker", SENSOR,

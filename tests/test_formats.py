@@ -24,7 +24,7 @@ from fstlearn import (
 )
 import fstlearn.formats as formats
 from fstlearn.formats import grid, letter_from_text, letter_to_text
-from oracles import PAIR_LETTERS, ref_sampleset_from_text
+from oracles import PAIR_LETTERS, ref_fst_from_text, ref_sampleset_from_text
 from test_fst import machines
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -70,6 +70,26 @@ class TestWords:
         for bad in ("x", "x:", ":u", "x:u:v"):
             with pytest.raises(FormatError):
                 word_from_text(bad)
+
+
+# Machine-file lines over good and bad state names and symbols, with or
+# without the header.
+_STATE_TOKENS = st.sampled_from(["0", "1", "q", "<eps>", "<empty>"])
+_SYMBOL_TOKENS = st.sampled_from(["x", "u", "<eps>", "a:b", "<empty>"])
+MACHINE_TEXTS = st.tuples(
+    st.sampled_from([["fst v1"], []]),
+    st.lists(
+        st.one_of(
+            _STATE_TOKENS.map("initial {}".format),
+            st.lists(_STATE_TOKENS, max_size=3).map(lambda names: " ".join(["final", *names])),
+            st.tuples(_STATE_TOKENS, _SYMBOL_TOKENS, _SYMBOL_TOKENS, _STATE_TOKENS).map(
+                lambda parts: "trans {} {} {} {}".format(*parts)
+            ),
+            st.sampled_from(["", "# note", "trans 0 x", "states 0"]),
+        ),
+        max_size=6,
+    ),
+).map(lambda parts: "\n".join(parts[0] + parts[1]))
 
 
 class TestMachineFormat:
@@ -121,6 +141,35 @@ class TestMachineFormat:
     def test_bad_transition_arity_rejected(self):
         with pytest.raises(FormatError):
             fst_from_text("fst v1\ninitial 0\ntrans 0 x 1\n")
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [("trans 0 a:b u 0", "bad symbol 'a:b': no whitespace, ':' or '#', and reserved tokens are not symbols"),
+         ("final 0 <empty>", "bad state name '<empty>'"),
+         ("trans 0 x u <eps>", "bad state name '<eps>'"),
+         ("trans 0 <eps> <eps> 0", "the (eps,eps) letter is reserved for the implicit stay transition")],
+        ids=["symbol", "final-state", "trans-state", "stay-letter"],
+    )
+    def test_bad_line_is_named(self, line, problem):
+        with pytest.raises(FormatError) as exc:
+            fst_from_text(f"fst v1\ninitial 0\n# a comment\n{line}\nfinal 0\n")
+        assert str(exc.value) == f"line 4: {problem}"
+
+    @settings(deadline=None, max_examples=300)
+    @given(MACHINE_TEXTS)
+    def test_same_machine_or_rejection_as_checking_at_the_end(self, text):
+        # The parser builds without Fst's checks, so its own must leave
+        # nothing for them to find.
+        def read(parse):
+            try:
+                return parse(text)
+            except FormatError:
+                return None
+
+        made = read(fst_from_text)
+        assert made == read(ref_fst_from_text)
+        if made is not None:
+            assert Fst(made.states, made.initial, made.transitions, made.finals) == made
 
 
 class TestDatasetFormat:

@@ -39,7 +39,6 @@ from fstlearn import (
     verify_resilient,
 )
 from fstlearn import fst as fst_module
-from fstlearn import supervisor as supervisor_module
 from oracles import (
     PAIR_LETTERS,
     ref_accepts,
@@ -47,8 +46,9 @@ from oracles import (
     ref_counterexample,
     ref_is_prefix_closed,
     ref_language_upto,
+    ref_machine,
     ref_minimize,
-    ref_remove_silent,
+    ref_pattern_to_fst,
 )
 
 EPS_LETTERS = (("x", EPS), (EPS, "u"))
@@ -659,8 +659,11 @@ class TestStateBound:
             (lambda: is_prefix_closed(_ring_with_detour(5)), 5, "determinization"),
             (lambda: counterexample(_ring(3), _ring(4)), 12, "equivalence check"),
             (lambda: verify_resilient(*_ring_loop(), _ring(1)), 12, "equivalence check"),
+            # Three subsets of token nodes, each closed under silent links: {0, 1}, {2, 3}, {4}.
+            (lambda: pattern_to_fst("(x:u)(y:v)"), 3, "determinization"),
         ],
-        ids=["compose", "intersect", "minimize", "is_prefix_closed", "counterexample", "verify_resilient"],
+        ids=["compose", "intersect", "minimize", "is_prefix_closed", "counterexample", "verify_resilient",
+             "pattern_to_fst"],
     )
     def test_bound_admits_exactly_the_nodes_needed(self, monkeypatch, build, needed, what):
         monkeypatch.setattr(fst_module, "MAX_STATES", needed)
@@ -750,12 +753,14 @@ PATTERNS = st.lists(
 
 def _on_the_reference_path(build, *args):
     """build(*args) with machines named as before the one builder: a raw
-    machine, trim, then a renaming, each built through Fst's checks."""
+    machine, trim, then a renaming, each built through Fst's checks. A
+    pattern is read by ref_pattern_to_fst, which builds on that path."""
+    machine = fst_module._machine
+    build = {pattern_to_fst: ref_pattern_to_fst}.get(build, build)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # synthesize on a language that is not prefix-closed
-        mp.setattr(fst_module, "remove_silent", ref_remove_silent)
-        mp.setattr(supervisor_module, "remove_silent", ref_remove_silent)
-        mp.setattr(supervisor_module, "minimize", ref_minimize)
+        # trim's empty-language machine, _machine([], ()), is let through: ref_machine trims.
+        mp.setattr(fst_module, "_machine", lambda arcs, finals: (ref_machine if arcs else machine)(arcs, finals))
         return build(*args)
 
 
@@ -796,11 +801,11 @@ class TestOneBuilder:
     def test_ties_are_broken_on_the_node_number_as_a_string(self):
         # Node 1 reaches nodes 9 and 10 on one letter: "10" sorts first, so
         # node 10 is named 2 and node 9, which moves on to it, 3.
-        edges = [[(("x", "u"), 1)]] + [[] for _ in range(10)]
-        edges[1] = [(("y", "v"), 9), (("y", "v"), 10)]
-        edges[9] = [(("x", "v"), 10)]
-        made = fst_module.remove_silent(edges, {10})
-        assert made == ref_remove_silent(edges, {10})
+        edges = [[("x", "u", 1)]] + [[] for _ in range(10)]
+        edges[1] = [("y", "v", 9), ("y", "v", 10)]
+        edges[9] = [("x", "v", 10)]
+        made = fst_module._machine(edges, {10})
+        assert made == ref_machine(edges, {10})
         assert made.arcs["3"] == (("x", "v", "2"),)
 
 

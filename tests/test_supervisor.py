@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
@@ -345,3 +346,18 @@ class TestPatternToFst:
         depth = sys.getrecursionlimit()
         deep = pattern_to_fst("(" * depth + "(x:u)" + ")" * depth)
         assert fst_to_text(deep) == fst_to_text(pattern_to_fst("(x:u)"))
+
+    @pytest.mark.parametrize(
+        "text, like",
+        [("(x:u)*" * 2000, "(x:u)*"),
+         ("(" * 2000 + "(x:u)" + ")*" * 2000, "(x:u)*"),
+         ("(" * 2000 + "(x:u)" + ")" * 2000, "(x:u)")],
+        ids=["starred letters", "starred groups nested", "groups nested"],
+    )
+    def test_long_patterns_are_read_in_one_subset_walk(self, text, like):
+        # Closing every token node on its own took 2-15 s on these at n = 2000.
+        # One walk over closed subsets takes a few hundredths of a second.
+        t0 = time.perf_counter()
+        made = pattern_to_fst(text)
+        assert time.perf_counter() - t0 < 1.0
+        assert fst_to_text(made) == fst_to_text(pattern_to_fst(like))
