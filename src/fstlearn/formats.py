@@ -50,17 +50,23 @@ def word_to_text(w: Word) -> str:
     return " ".join(letter_to_text(l) for l in w)
 
 
-def _word_from_text(text: str, letters: dict[str, Letter]) -> Word:
-    text = text.strip()
-    if not text or text == EMPTY_TOKEN:
+class _Letters(dict):
+    """Token -> letter; a missing token is parsed, checked and stored on its first lookup."""
+
+    def __missing__(self, tok: str) -> Letter:
+        letter = self[tok] = letter_from_text(tok)
+        return letter
+
+
+def _word_from_tokens(toks: list[str], letters: _Letters) -> Word:
+    """The line rule: no token, or the one token '<empty>', is the empty word."""
+    if toks == [EMPTY_TOKEN]:
         return ()
-    toks = text.split()
-    letters.update((t, letter_from_text(t)) for t in toks if t not in letters)  # stores as it reads
     return tuple(map(letters.__getitem__, toks))
 
 
 def word_from_text(text: str) -> Word:
-    return _word_from_text(text, {})
+    return _word_from_tokens(text.split(), _Letters())
 
 
 def fst_to_text(f: Fst) -> str:
@@ -152,17 +158,19 @@ def sampleset_to_text(d: SampleSet) -> str:
 
 
 def sampleset_from_text(text: str) -> SampleSet:
-    """Each distinct token is parsed once; a bad one raises at its first use, naming its line."""
-    letters, words = {}, []
+    """Each distinct token is parsed once; a bad one raises at its first use, naming its line.
+    The set is built from the words and letters so checked, without SampleSet's checks."""
+    letters, words = _Letters(), []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         content, comment, _ = raw.partition("#")
-        if comment and not content.strip():
+        toks = content.split()
+        if comment and not toks:
             continue  # comment-only line, not an empty word
         try:
-            words.append(_word_from_text(content, letters))  # a blank line is the empty word
+            words.append(_word_from_tokens(toks, letters))
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
-    return SampleSet(words)
+    return SampleSet._trusted(frozenset(words), tuple(sorted(set(letters.values()))))
 
 
 def load_dataset(path) -> SampleSet:

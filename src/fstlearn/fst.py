@@ -174,6 +174,13 @@ class SampleSet:
         object.__setattr__(self, "alphabet", alphabet)
 
     @classmethod
+    def _trusted(cls, words, alphabet) -> "SampleSet":
+        """A sample set from a frozenset of tuple words and its sorted, checked alphabet, unchecked."""
+        d = object.__new__(cls)
+        d.__dict__.update(words=words, alphabet=alphabet)
+        return d
+
+    @classmethod
     def from_words(cls, words) -> "SampleSet":
         return cls(words)
 

@@ -18,6 +18,7 @@ Both decide rank exactly, on Python ints; only the float matrices import numpy.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, product
 from typing import TYPE_CHECKING
@@ -135,7 +136,7 @@ def default_mask_len(d: SampleSet) -> int:
     psi chi gamma stays within the sampled horizon; empty recordings are an analysis error."""
     if not d.words:
         raise AnalysisError("learn", "dataset is empty")
-    return max(0, (max(len(w) for w in d.words) - 1) // 2)
+    return max(0, (max(map(len, d.words)) - 1) // 2)
 
 
 def _first_of_each(words, key) -> list[Word]:
@@ -161,10 +162,13 @@ def find_basis(d: SampleSet, max_len: int) -> Mask:
     zero line never holds a pivot, a repeat acts as its first twin.
     Raises ResourceLimitError before allocating over MAX_BLOCK_CELLS cells.
     """
-    after: dict[Word, set[Word]] = {(): set()}  # prefix -> the suffixes completing it in D
+    after: dict[Word, set[Word]] = defaultdict(set, {(): set()})  # prefix -> the suffixes completing it in D
+    top = min(2 * max_len, max(map(len, d.words), default=0))  # a longer word has no in-range split
+    splits = [range(max(0, n - max_len), min(n, max_len) + 1) for n in range(top + 1)]  # by length
     for w in d.words:
-        for k in range(max(0, len(w) - max_len), min(len(w), max_len) + 1):
-            after.setdefault(w[:k], set()).add(w[k:])
+        if (n := len(w)) <= top:
+            for k in splits[n]:
+                after[w[:k]].add(w[k:])
     pcand = _first_of_each(after, lambda p: frozenset(after[p]))
     rows_of: dict[Word, list[int]] = {(): []}  # suffix -> the kept rows holding it
     for i, p in enumerate(pcand):

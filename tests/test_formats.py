@@ -31,10 +31,13 @@ DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 # Dataset tokens: valid letters (<eps> on either side), the empty-word
-# token, whitespace, comments, and malformed letters.
+# token, whitespace, comments, and malformed letters. "\x0c" and "\u2028"
+# end a line for str.splitlines; they, "\x1f" and "\u00a0" separate tokens
+# for str.split.
 TOKENS = (
     "x:u", "y:v", "<eps>:u", "x:<eps>", "<empty>", "", " ", "\t",
     "# note", "#", "a:", ":b", "a:b:c", "<eps>:<eps>", "word",
+    "\x0c", "\x1f", "\u00a0", "\u2028",
 )
 ENDS = ("\n", "\r\n", "  # end\n", "")
 
@@ -206,16 +209,24 @@ class TestDatasetFormat:
         assert got == want
 
     def test_each_distinct_token_is_parsed_once(self, monkeypatch):
-        calls = []
+        calls, checks = [], []
 
         def counting(tok):
             calls.append(tok)
             return letter_from_text(tok)
 
         monkeypatch.setattr(formats, "letter_from_text", counting)
+        monkeypatch.setattr(SampleSet, "__post_init__", lambda d: checks.append(d))
         d = sampleset_from_text("x:u <eps>:v x:u\n" * 3000 + "<eps>:v\n")
         assert sorted(calls) == ["<eps>:v", "x:u"]
+        assert checks == []  # the read set is built from checked letters, not checked again
         assert d.words == frozenset({(("x", "u"), (EPS, "v"), ("x", "u")), ((EPS, "v"),)})
+        assert d.alphabet == ((EPS, "v"), ("x", "u"))
+
+    @pytest.mark.parametrize("path", sorted(DEMO.glob("*_samples.txt")), ids=lambda p: p.name)
+    def test_read_set_equals_a_checked_one(self, path):
+        d = load_dataset(str(path))
+        assert SampleSet(d.words) == d
 
     def test_bad_token_is_reported_at_its_first_occurrence(self):
         with pytest.raises(FormatError, match="'bad1'"):

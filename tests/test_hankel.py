@@ -260,7 +260,7 @@ class TestFindBasisAgainstFullBlock:
         if drop_empty_word:
             words = set(words) - {()}
         d = SampleSet.from_words(words)
-        for max_len in range(4):
+        for max_len in (*range(4), 7, 10**6):  # 7 and 10**6 lie past every word length
             assert find_basis(d, max_len) == ref_find_basis_full_block(d, max_len)
 
     def test_same_mask_on_an_exhaustive_six_state_sample(self):

@@ -382,7 +382,7 @@ class TestExactAgainstFloat:
             words = {w[:k] for w in words for k in range(len(w) + 1)}
         d = SampleSet.from_words(words)
         assert learn_outcome(learn_pipeline, d) == learn_outcome(ref_learn_pipeline, d)
-        for max_len in range(4):
+        for max_len in (*range(4), 7, 10**6):  # 7 and 10**6 lie past every word length
             assert find_basis(d, max_len) == ref_find_basis(d, max_len)
 
     @pytest.mark.parametrize("words", [DEMO_WORDS, RANK_DEFICIENT_WORDS], ids=["demo", "rank-deficient"])
