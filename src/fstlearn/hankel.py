@@ -10,10 +10,12 @@ induces the binary matrices
 find_basis grows a mask by Gaussian elimination until its H_Theta reaches
 the rank of the full candidate Hankel block, which for exhaustively
 sampled deterministic ground truth equals the minimal state count; it
-works on that block's distinct nonzero rows and columns only.
+works on that block's distinct nonzero rows and columns only, and keeps
+one number per distinct suffix while it reads D.
 check_closed tests that the H_chi rows do not raise the rank of H_Theta;
 when they do, the data or the mask is too small to support learning.
-Both decide rank exactly, on Python ints; only the float matrices import numpy.
+Both decide rank exactly by eliminate, on Python ints, which updates only
+the rows a pivot changes; only the float matrices import numpy.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, product
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import AnalysisError, ResourceLimitError
@@ -112,21 +115,26 @@ def numeric_rank(mat: np.ndarray) -> int:
 
 
 def eliminate(rows, cells=None) -> list[tuple[int, int]]:
-    """Fraction-free (Bareiss) Gaussian elimination of the integer matrix rows; returns the pivots.
+    """Gaussian elimination of the integer matrix rows, on Python ints; returns the pivots.
 
     It pivots on each nonzero entry met along cells, (row, column) pairs read once, row-major
-    by default: a passed cell must stay zero. Every division is exact. Row-major, the pivot
-    rows are the rows outside the span of the rows above them.
+    by default: a passed cell must stay zero. A pivot (i, j) with entry p clears column j:
+    the pivot row becomes zero, a row with entry f != 0 there becomes p*row - f*(pivot row)
+    divided by the gcd of its entries, and a row with a zero there is left as it is. Each row
+    so stays a nonzero multiple of its fraction-free (Bareiss) counterpart, so the zeros and
+    the pivots are Bareiss's. Row-major, the pivot rows are the rows outside the span of the
+    rows above them.
     """
     h = [list(map(int, row)) for row in rows]
-    pivots, prev = [], 1
+    pivots = []
     for i, j in cells or product(range(len(h)), range(len(h[0]))):
         if p := h[i][j]:
-            top = h[i][:]
-            for row in h:
-                f = row[j]
-                row[:] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-            prev = p
+            top, h[i] = h[i], [0] * len(h[i])
+            for k, row in enumerate(h):
+                if f := row[j]:
+                    row = [p * x - f * y for x, y in zip(row, top)]
+                    g = gcd(*row)  # 0 when row was a multiple of the pivot row
+                    h[k] = [x // g for x in row] if g > 1 else row
             pivots.append((i, j))
     return pivots
 
@@ -153,7 +161,7 @@ def find_basis(d: SampleSet, max_len: int) -> Mask:
     Candidates are the halves of the in-range splits w = psi gamma of
     words in D (max(0, |w| - max_len) <= |psi| <= min(|w|, max_len)),
     cut down to the shortlex-first of each distinct nonzero row, then
-    column; eps leads both. Starting from ([eps],[eps]), fraction-free
+    column; eps leads both. Starting from ([eps],[eps]), exact
     elimination on that block (eliminate) pivots on the first nonzero
     entry down the eps column, then along the eps row, then in row-major
     order, adding each pivot's row and column to the mask if new, until
@@ -162,19 +170,22 @@ def find_basis(d: SampleSet, max_len: int) -> Mask:
     zero line never holds a pivot, a repeat acts as its first twin.
     Raises ResourceLimitError before allocating over MAX_BLOCK_CELLS cells.
     """
-    after: dict[Word, set[Word]] = defaultdict(set, {(): set()})  # prefix -> the suffixes completing it in D
+    ids: dict[Word, int] = {(): 0}  # suffix -> its number, in order of first sight
+    sid = ids.setdefault
+    after: dict[Word, set[int]] = defaultdict(set, {(): set()})  # prefix -> the suffix numbers completing it in D
     top = min(2 * max_len, max(map(len, d.words), default=0))  # a longer word has no in-range split
     splits = [range(max(0, n - max_len), min(n, max_len) + 1) for n in range(top + 1)]  # by length
     for w in d.words:
         if (n := len(w)) <= top:
             for k in splits[n]:
-                after[w[:k]].add(w[k:])
+                after[w[:k]].add(sid(w[k:], len(ids)))
     pcand = _first_of_each(after, lambda p: frozenset(after[p]))
-    rows_of: dict[Word, list[int]] = {(): []}  # suffix -> the kept rows holding it
+    rows_of: dict[int, list[int]] = {0: []}  # suffix number -> the kept rows holding it
     for i, p in enumerate(pcand):
         for s in after[p]:
             rows_of.setdefault(s, []).append(i)
-    scand = _first_of_each(rows_of, lambda s: tuple(rows_of[s]))
+    suffix = list(ids)
+    scand = _first_of_each((suffix[s] for s in rows_of), lambda s: tuple(rows_of[ids[s]]))
     if len(pcand) * len(scand) > MAX_BLOCK_CELLS:
         raise ResourceLimitError(
             f"Hankel block of {len(pcand)} distinct rows x {len(scand)} distinct columns "
@@ -182,7 +193,7 @@ def find_basis(d: SampleSet, max_len: int) -> Mask:
         )
 
     # Pivot on the first entry left down the eps column, the eps row, then row-major.
-    block, rr, cc = ([s in after[p] for s in scand] for p in pcand), range(len(pcand)), range(len(scand))
+    block, rr, cc = ([ids[s] in after[p] for s in scand] for p in pcand), range(len(pcand)), range(len(scand))
     pivots = [(0, 0)] + eliminate(block, chain(product(rr, [0]), product([0], cc), product(rr, cc)))
     rows, cols = (dict.fromkeys(ix) for ix in zip(*pivots))  # ordered sets of block indices
     return Mask(tuple(pcand[i] for i in rows), tuple(scand[j] for j in cols))

@@ -238,18 +238,22 @@ def learn_pipeline(d: SampleSet) -> LearnResult:
     exactly, on the 0/1 rows of H_Theta and H_chi; each gate raises what the float stages raise.
 
     The states are the H_Theta rows outside the span of those above them, eps first. The data
+    is closed iff every H_chi row lies in the row space of H_Theta; only H_chi rows that are
+    neither zero nor an H_Theta row need the stacked elimination that tests it. The data
     is natural iff every H_Theta row is zero or a state's and, per letter, the H_chi rows of
     each state's class agree on a row that is zero or a state's: its arc. The mask length is
     hankel.default_mask_len(d), which rejects an empty d."""
     mask = find_basis(d, default_mask_len(d))
     theta = block_rows(d, mask, ())
     shifted = {chi: block_rows(d, mask, (chi,)) for chi in d.alphabet}
-    chosen = [i for i, _ in eliminate(theta + [row for rows in shifted.values() for row in rows])]
-    if chosen and chosen[-1] >= len(theta):
+    chosen = [i for i, _ in eliminate(theta)]
+    zero = (0,) * len(mask.suffixes)
+    stray = [row for rows in shifted.values() for row in rows if row != zero and row not in theta]
+    if stray and eliminate(theta + stray)[-1][0] >= len(theta):
         raise ClosednessError("closedness", _NOT_CLOSED)
     if not chosen:
         raise DegenerateRankError("decompose", _RANK_ZERO)
-    zero, state = (0,) * len(mask.suffixes), {theta[i]: str(k) for k, i in enumerate(chosen)}
+    state = {theta[i]: str(k) for k, i in enumerate(chosen)}
     if not {*state, zero} >= set(theta):  # never, by test_nonzero_mask_rows_are_distinct_and_independent
         raise NaturalityError("naturalize", _NOT_NATURAL)
     moves = {(state[src], chi, row) for chi, rows in shifted.items()

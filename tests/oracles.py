@@ -131,6 +131,26 @@ def full_candidate_rank(words: set, max_len: int) -> int:
     return int(np.linalg.matrix_rank(h))
 
 
+def ref_eliminate(rows, cells=None) -> list[tuple[int, int]]:
+    """Fraction-free (Bareiss) Gaussian elimination of the integer matrix rows; returns the pivots.
+
+    It pivots on each nonzero entry met along cells, (row, column) pairs read once, row-major
+    by default: a passed cell must stay zero. Every division is exact. Row-major, the pivot
+    rows are the rows outside the span of the rows above them.
+    """
+    h = [list(map(int, row)) for row in rows]
+    pivots, prev = [], 1
+    for i, j in cells or product(range(len(h)), range(len(h[0]))):
+        if p := h[i][j]:
+            top = h[i][:]
+            for row in h:
+                f = row[j]
+                row[:] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            prev = p
+            pivots.append((i, j))
+    return pivots
+
+
 # Residual threshold of the greedy span tests, as in the previous fstlearn.hankel.
 _RESIDUAL_TOL = 1e-8
 

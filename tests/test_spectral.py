@@ -35,6 +35,8 @@ from fstlearn import (
     trim,
     tuple_to_fst,
 )
+import fstlearn.spectral
+from fstlearn.hankel import eliminate
 from conftest import (
     CHI1,
     CHI2,
@@ -351,6 +353,38 @@ EPS_ROW_ZERO_WORDS = frozenset(
     {(YV, XU, XU, ("x", EPS)), (XU, XU, YV, XU, (EPS, "u"), (EPS, "u"))}
 )
 
+# The stacked span test runs only on an H_chi row that is neither zero nor an H_Theta row.
+# Both sets learn the mask ([eps, xu], [eps, xu]). Here H_Theta is [11, 10] and H_xu is
+# [10, 01]: 01 = 11 - 10 lies in the row space, so the data is closed but not natural.
+STRAY_IN_SPAN_WORDS = frozenset({(), (XU,), (XU, XU, XU)})
+# Here H_Theta is [00, 01] and H_xu is [01, 11]: 11 leaves the row space.
+STRAY_OUT_OF_SPAN_WORDS = frozenset({(XU, XU), (XU, XU, XU)})
+
+
+class TestSpanTest:
+    """Each way learn_pipeline's closedness span test can end, with its stage tag."""
+
+    @pytest.mark.parametrize(
+        "words, error, stage, eliminations",
+        [
+            (DEMO_WORDS, None, None, 1),  # every H_chi row is zero or an H_Theta row
+            (STRAY_IN_SPAN_WORDS, NaturalityError, "naturality", 2),
+            (STRAY_OUT_OF_SPAN_WORDS, ClosednessError, "closedness", 2),
+        ],
+        ids=["no-stray-row", "stray-row-in-span", "stray-row-out-of-span"],
+    )
+    def test_each_end_of_the_span_test(self, words, error, stage, eliminations, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fstlearn.spectral, "eliminate", lambda rows: calls.append(rows) or eliminate(rows))
+        d = SampleSet.from_words(words)
+        if error is None:
+            assert len(learn_fst(d).states) == 2
+        else:
+            with pytest.raises(error) as err:
+                learn_fst(d)
+            assert err.value.stage == stage
+        assert len(calls) == eliminations
+
 
 def learn_outcome(learn, d: SampleSet) -> tuple:
     """The mask and .fst text a learner returns, or the error it raises."""
@@ -376,6 +410,8 @@ class TestExactAgainstFloat:
     @example(words=DEMO_WORDS, prefix_closed=False)
     @example(words=RANK_DEFICIENT_WORDS, prefix_closed=False)
     @example(words=EPS_ROW_ZERO_WORDS, prefix_closed=False)
+    @example(words=STRAY_IN_SPAN_WORDS, prefix_closed=False)
+    @example(words=STRAY_OUT_OF_SPAN_WORDS, prefix_closed=False)
     @settings(max_examples=300, deadline=None)
     def test_same_outcome_as_the_float_path(self, words, prefix_closed):
         if prefix_closed:
