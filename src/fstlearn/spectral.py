@@ -10,7 +10,8 @@ a hard error, because a non-natural result means the mask was not a
 basis or the sample set violates the model assumptions.
 
 All steps are deterministic: no randomness, ties broken by row order.
-learn_pipeline takes the same steps exactly, by matching 0/1 rows, without numpy.
+learn_pipeline takes the same steps exactly, by matching 0/1 rows, without numpy;
+its states, the basis rows, are the nonzero H_Theta rows of find_basis's mask.
 """
 
 from __future__ import annotations
@@ -234,34 +235,31 @@ def tuple_to_fst(t: TransitionTuple) -> Fst:
 
 
 def learn_pipeline(d: SampleSet) -> LearnResult:
-    """find_basis -> closedness gate -> states -> naturality gates -> FST -> letter gate,
+    """find_basis -> closedness gate -> states -> naturality gate -> FST -> letter gate,
     exactly, on the 0/1 rows of H_Theta and H_chi; each gate raises what the float stages raise.
 
-    The states are the H_Theta rows outside the span of those above them, eps first. The data
-    is closed iff every H_chi row lies in the row space of H_Theta; only H_chi rows that are
-    neither zero nor an H_Theta row need the stacked elimination that tests it. The data
-    is natural iff every H_Theta row is zero or a state's and, per letter, the H_chi rows of
-    each state's class agree on a row that is zero or a state's: its arc. The mask length is
-    hankel.default_mask_len(d), which rejects an empty d."""
+    The states are the nonzero H_Theta rows, eps first; find_basis gives each a pivot, so they
+    are distinct and independent. The data is closed iff every H_chi row lies in their row space;
+    only H_chi rows that are neither zero nor a state's need the stacked elimination that tests
+    it. The data is natural iff the eps row is a state's and each state's H_chi rows are zero or
+    a state's: its arcs. The machine is built unchecked: its names are "0".."k-1" and its letters
+    d's. The mask length is hankel.default_mask_len(d), which rejects an empty d."""
     mask = find_basis(d, default_mask_len(d))
     theta = block_rows(d, mask, ())
     shifted = {chi: block_rows(d, mask, (chi,)) for chi in d.alphabet}
-    chosen = [i for i, _ in eliminate(theta)]
     zero = (0,) * len(mask.suffixes)
-    stray = [row for rows in shifted.values() for row in rows if row != zero and row not in theta]
-    if stray and eliminate(theta + stray)[-1][0] >= len(theta):
+    state = {row: str(k) for k, row in enumerate(row for row in theta if row != zero)}
+    stray = [row for rows in shifted.values() for row in rows if row != zero and row not in state]
+    if stray and eliminate([*state, *stray])[-1][0] >= len(state):
         raise ClosednessError("closedness", _NOT_CLOSED)
-    if not chosen:
+    if not state:
         raise DegenerateRankError("decompose", _RANK_ZERO)
-    state = {theta[i]: str(k) for k, i in enumerate(chosen)}
-    if not {*state, zero} >= set(theta):  # never, by test_nonzero_mask_rows_are_distinct_and_independent
-        raise NaturalityError("naturalize", _NOT_NATURAL)
-    moves = {(state[src], chi, row) for chi, rows in shifted.items()
-             for src, row in zip(theta, rows) if src != zero}
-    if chosen[0] or len({m[:2] for m in moves}) < len(moves) or not {*state, zero} >= {m[2] for m in moves}:
+    moves = [(state[src], chi, row) for chi, rows in shifted.items()
+             for src, row in zip(theta, rows) if src != zero]
+    if theta[0] == zero or any(row != zero and row not in state for _, _, row in moves):
         raise NaturalityError("naturality", _NOT_NATURAL_TUPLE)
     arcs = frozenset((src, *chi, state[row]) for src, chi, row in moves if row != zero)
-    fst = trim(Fst(tuple(state.values()), "0", arcs, frozenset(state[row] for row in state if row[0])))
+    fst = trim(Fst._trusted(tuple(state.values()), "0", arcs, frozenset(state[row] for row in state if row[0])))
     # A recorded letter that no arc carries makes some recording rejected.
     carried = fst.letters()
     lost = next((chi for chi in d.alphabet if chi not in carried), None)

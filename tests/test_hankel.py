@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fstlearn.hankel
 from fstlearn import (
+    EPS,
     Fst,
     HankelSet,
     Mask,
@@ -46,6 +47,10 @@ from conftest import (
     GOLDEN_H_CHI3,
     GOLDEN_H_THETA,
     GOLDEN_MASK,
+    STRAY_IN_SPAN_WORDS,
+    STRAY_OUT_OF_SPAN_WORDS,
+    XU,
+    YV,
 )
 from oracles import (
     PAIR_LETTERS,
@@ -60,11 +65,8 @@ from oracles import (
 )
 
 
-XU, YV = ("x", "u"), ("y", "v")
-
-
-def words_strategy(max_words: int = 6, max_len: int = 3):
-    letter = st.sampled_from(PAIR_LETTERS)
+def words_strategy(max_words: int = 6, max_len: int = 3, letters=PAIR_LETTERS):
+    letter = st.sampled_from(letters)
     word = st.lists(letter, max_size=max_len).map(tuple)
     return st.frozensets(word, max_size=max_words)
 
@@ -215,20 +217,25 @@ class TestFindBasis:
         assert got == full_candidate_rank(set(words), max_len)
 
     @given(
-        words=words_strategy(max_words=8, max_len=5),
+        words=words_strategy(max_words=8, max_len=5, letters=PAIR_LETTERS + (("x", EPS), (EPS, "u"))),
         prefix_closed=st.booleans(),
         max_len=st.integers(min_value=0, max_value=5),
     )
+    @example(words=DEMO_WORDS, prefix_closed=False, max_len=1)
+    @example(words=STRAY_OUT_OF_SPAN_WORDS, prefix_closed=False, max_len=1)  # no eps word: eps row zero
+    @example(words=STRAY_IN_SPAN_WORDS, prefix_closed=False, max_len=1)
     @settings(max_examples=200, deadline=None)
     def test_nonzero_mask_rows_are_distinct_and_independent(self, words, prefix_closed, max_len):
-        # Each row find_basis adds holds a pivot, so every nonzero H_Theta row
-        # becomes a state in learn_pipeline and its [naturalize] guard never fires.
+        # learn_pipeline takes the nonzero H_Theta rows of find_basis's mask as its
+        # states without a second elimination. They are a basis because each row
+        # find_basis adds holds a pivot, at any mask length and at the one it uses.
         if prefix_closed:
             words = {w[:k] for w in words for k in range(len(w) + 1)}
         d = SampleSet.from_words(words)
-        theta = block_rows(d, find_basis(d, max_len), ())
-        nonzero = [row for row in theta if any(row)]
-        assert len(eliminate(theta)) == len(nonzero) == len(set(nonzero))
+        for n in (max_len, fstlearn.hankel.default_mask_len(d)) if words else (max_len,):
+            theta = block_rows(d, find_basis(d, n), ())
+            nonzero = [row for row in theta if any(row)]
+            assert len(eliminate(theta)) == len(nonzero) == len(set(nonzero))
 
     def test_traced_peak_stays_small_on_an_exhaustive_sample(self):
         # 6,061 words, all those up to length 13 of a minimal six-state machine.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +32,12 @@ from fstlearn import (
     language_upto,
     learn_fst,
     learn_pipeline,
+    load_dataset,
     naturalize,
     trim,
     tuple_to_fst,
 )
+import fstlearn.fst
 import fstlearn.spectral
 from fstlearn.hankel import eliminate
 from conftest import (
@@ -44,10 +47,18 @@ from conftest import (
     DEMO_WORDS,
     GOLDEN_H_THETA,
     GOLDEN_MASK,
+    STRAY_IN_SPAN_WORDS,
+    STRAY_OUT_OF_SPAN_WORDS,
+    XU,
+    XV,
+    YU,
+    YV,
 )
 from oracles import PAIR_LETTERS, random_attacker, ref_find_basis, ref_learn_pipeline
 
 import random
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 GOLDEN_P_NEW = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 GOLDEN_S_NEW = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
@@ -142,6 +153,14 @@ class TestNaturalize:
         h = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]])
         with pytest.raises(NaturalityError):
             naturalize(full_rank_decompose(h))
+
+    def test_rank_deficient_left_factor_fails_loudly(self):
+        # Both rows of p are [1, 0], so no two of them make an invertible B.
+        d = Decomposition.from_factors(np.array([[1.0, 0.0], [1.0, 0.0]]), np.eye(2))
+        with pytest.raises(NaturalityError) as err:
+            naturalize(d)
+        assert err.value.stage == "naturalize"
+        assert err.value.message == "left factor is rank-deficient; cannot build a change of basis"
 
 
 class TestExtractTuple:
@@ -324,6 +343,16 @@ class TestLearnPipeline:
     def test_deterministic(self, demo_dataset):
         assert learn_pipeline(demo_dataset).fst == learn_pipeline(demo_dataset).fst
 
+    def test_learning_checks_no_letter_again(self, monkeypatch):
+        # Each letter is checked once, where the recordings are read; the learned
+        # machine's letters are among them, so building it checks none.
+        d = load_dataset(DEMO / "attacker_samples.txt")
+        calls = []
+        check = fstlearn.fst._check_letter
+        monkeypatch.setattr(fstlearn.fst, "_check_letter", lambda letter: calls.append(letter) or check(letter))
+        assert fst_to_text(learn_pipeline(d).fst) == (DEMO / "attacker.fst").read_text()
+        assert calls == []
+
     def test_model_without_a_recorded_letter_fails_loudly(self):
         # The demo recordings cut to length 2 give mask length 0, which
         # learns one state that drops a1:a2, so it would reject the
@@ -342,7 +371,6 @@ class TestLearnPipeline:
         assert err.value.stage == "closedness"
 
 
-XU, YU, XV, YV = ("x", "u"), ("y", "u"), ("x", "v"), ("y", "v")
 # All words of the five-state machine of test_hankel.TestRankDeficientMachine.
 RANK_DEFICIENT_WORDS = frozenset(
     {(), (XU,), (XU, XU), (XV,), (XV, XU), (XV, YU), (YU,), (YU, YU)}
@@ -353,13 +381,6 @@ EPS_ROW_ZERO_WORDS = frozenset(
     {(YV, XU, XU, ("x", EPS)), (XU, XU, YV, XU, (EPS, "u"), (EPS, "u"))}
 )
 
-# The stacked span test runs only on an H_chi row that is neither zero nor an H_Theta row.
-# Both sets learn the mask ([eps, xu], [eps, xu]). Here H_Theta is [11, 10] and H_xu is
-# [10, 01]: 01 = 11 - 10 lies in the row space, so the data is closed but not natural.
-STRAY_IN_SPAN_WORDS = frozenset({(), (XU,), (XU, XU, XU)})
-# Here H_Theta is [00, 01] and H_xu is [01, 11]: 11 leaves the row space.
-STRAY_OUT_OF_SPAN_WORDS = frozenset({(XU, XU), (XU, XU, XU)})
-
 
 class TestSpanTest:
     """Each way learn_pipeline's closedness span test can end, with its stage tag."""
@@ -367,9 +388,9 @@ class TestSpanTest:
     @pytest.mark.parametrize(
         "words, error, stage, eliminations",
         [
-            (DEMO_WORDS, None, None, 1),  # every H_chi row is zero or an H_Theta row
-            (STRAY_IN_SPAN_WORDS, NaturalityError, "naturality", 2),
-            (STRAY_OUT_OF_SPAN_WORDS, ClosednessError, "closedness", 2),
+            (DEMO_WORDS, None, None, 0),  # every H_chi row is zero or an H_Theta row
+            (STRAY_IN_SPAN_WORDS, NaturalityError, "naturality", 1),
+            (STRAY_OUT_OF_SPAN_WORDS, ClosednessError, "closedness", 1),
         ],
         ids=["no-stray-row", "stray-row-in-span", "stray-row-out-of-span"],
     )
