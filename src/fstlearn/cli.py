@@ -26,7 +26,7 @@ from .formats import (
     word_to_text,
 )
 from .fst import Fst, counterexample
-from .hankel import block_rows, default_mask_len, eliminate, find_basis
+from .hankel import block_rows, default_mask_len, find_basis
 from .loop import LoopConfig, format_trace, run, sample_attacker
 from .spectral import LearnResult, learn_pipeline
 from .supervisor import SynthesisResult, pattern_to_fst, synthesize, verify_resilient
@@ -162,7 +162,7 @@ def _cmd_hankel(args: argparse.Namespace) -> int:
     sys.stdout.write(grid(theta, psi, gamma, "H_theta"))
     for chi in d.alphabet:
         sys.stdout.write("\n" + grid(block_rows(d, mask, (chi,)), psi, gamma, f"H_chi {letter_to_text(chi)}"))
-    print(f"\nrank(H_theta) = {len(eliminate(theta))}")
+    print(f"\nrank(H_theta) = {sum(map(any, theta))}")  # find_basis gives each nonzero row a pivot
     return 0
 
 

@@ -159,17 +159,27 @@ def sampleset_to_text(d: SampleSet) -> str:
 
 def sampleset_from_text(text: str) -> SampleSet:
     """Each distinct token is parsed once; a bad one raises at its first use, naming its line.
-    The set is built from the words and letters so checked, without SampleSet's checks."""
-    letters, words = _Letters(), []
+    A line that is an earlier line, a space and a known token is that line's word plus one
+    letter: known maps '#'-free line texts to the words their split() tokens spell, so the line
+    rule would give the same word. The set is built from the words and letters so checked,
+    without SampleSet's checks."""
+    letters, words, known = _Letters(), [], {"": ()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        content, comment, _ = raw.partition("#")
-        toks = content.split()
-        if comment and not toks:
-            continue  # comment-only line, not an empty word
-        try:
-            words.append(_word_from_tokens(toks, letters))
-        except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
+        head, _, tok = raw.rpartition(" ")
+        if head in known and (letter := letters.get(tok)):  # dict.get: no __missing__
+            word = known[raw] = known[head] + (letter,)
+        else:
+            content, comment, _ = raw.partition("#")
+            toks = content.split()
+            if comment and not toks:
+                continue  # comment-only line, not an empty word
+            try:
+                word = _word_from_tokens(toks, letters)
+            except FormatError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from exc
+            if word:  # never '<empty>': '<empty> x:u' must still raise
+                known[content] = word
+        words.append(word)
     return SampleSet._trusted(frozenset(words), tuple(sorted(set(letters.values()))))
 
 

@@ -13,10 +13,15 @@ import pytest
 
 import fstlearn
 import fstlearn.hankel
-from fstlearn import Fst, invert, learn_pipeline, load_dataset, load_fst, save_fst, word_to_text
+from fstlearn import (
+    Fst, SampleSet, invert, learn_pipeline, load_dataset, load_fst, save_dataset, save_fst, word_to_text,
+)
 from fstlearn.cli import main
 from fstlearn.formats import letter_to_text
 from fstlearn.fst import MAX_STATES
+from fstlearn.hankel import block_rows, default_mask_len, find_basis
+from conftest import DEMO_WORDS, STRAY_IN_SPAN_WORDS, STRAY_OUT_OF_SPAN_WORDS
+from oracles import ref_eliminate
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 ATTACKER = str(DEMO / "attacker.fst")
@@ -358,6 +363,15 @@ class TestHankelCommand:
         assert "H_chi a3:a1" in out
         assert "rank(H_theta) = 2" in out
         assert "<empty>" in out  # the empty word labels the first row
+
+    @pytest.mark.parametrize("words", [DEMO_WORDS, STRAY_IN_SPAN_WORDS, STRAY_OUT_OF_SPAN_WORDS],
+                             ids=["demo", "stray-in-span", "stray-out-of-span"])
+    def test_printed_rank_is_the_rank_of_h_theta(self, words, tmp_path, capsys):
+        d = SampleSet.from_words(words)
+        save_dataset(d, tmp_path / "d.txt")
+        assert main(["hankel", "--data", str(tmp_path / "d.txt")]) == 0
+        theta = block_rows(d, find_basis(d, default_mask_len(d)), ())
+        assert capsys.readouterr().out.endswith(f"\nrank(H_theta) = {len(ref_eliminate(theta))}\n")
 
 
 class TestDiagnostics:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fstlearn import (
@@ -17,6 +17,8 @@ from fstlearn import (
     fst_to_text,
     load_dataset,
     load_fst,
+    sample_attacker,
+    save_dataset,
     sampleset_from_text,
     sampleset_to_text,
     word_from_text,
@@ -40,6 +42,23 @@ TOKENS = (
     "\x0c", "\x1f", "\u00a0", "\u2028",
 )
 ENDS = ("\n", "\r\n", "  # end\n", "")
+# What may stand between a line and the token that extends it.
+SEPARATORS = (" ", "  ", "\t", "\x1f", " # c ")
+
+
+@st.composite
+def extending_lines(draw):
+    """Lines that are mostly an earlier line, a separator and a token; sometimes shuffled.
+    The valid letters, TOKENS[:4], are drawn more often so that extended lines stay valid."""
+    lines = []
+    for tok in draw(st.lists(st.one_of(st.sampled_from(TOKENS[:4]), st.sampled_from(TOKENS)), max_size=10)):
+        if lines and draw(st.booleans()):
+            sep = draw(st.one_of(st.just(" "), st.sampled_from(SEPARATORS)))
+            tok = draw(st.sampled_from(lines)) + sep + tok
+        lines.append(tok)
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    return "".join(line + "\n" for line in lines)
 
 
 def _outcome(parse, text):
@@ -207,6 +226,35 @@ class TestDatasetFormat:
         want = _outcome(ref_sampleset_from_text, text)
         got = _outcome(sampleset_from_text, text)
         assert got == want
+
+    @settings(max_examples=300)
+    @given(extending_lines())
+    @example("<empty>\n<empty> x:u\n")
+    @example("x:u\n<empty>\n<empty> x:u\n")  # x:u is known when '<empty> x:u' is read
+    @example("x:u # c\nx:u  y:v\n")
+    @example("x:u\nx:u\ty:v\n")
+    @example("x:u\nx:u\x1fy:v\n")
+    @example("   \n    x:u\n")
+    def test_a_line_read_as_an_earlier_line_plus_a_letter_reads_the_same(self, text):
+        want = _outcome(ref_sampleset_from_text, text)
+        got = _outcome(sampleset_from_text, text)
+        assert got == want
+
+    def test_a_line_that_extends_an_earlier_line_is_not_split(self, demo_attacker, monkeypatch, tmp_path):
+        # A shortlex, prefix-closed file: each line is an earlier line plus one token,
+        # so only the empty word and each token's first line take the line rule.
+        path = tmp_path / "exhaustive.txt"
+        save_dataset(sample_attacker(demo_attacker, 0, 9, exhaustive=True), path)
+        calls, word_from_tokens = [], formats._word_from_tokens
+
+        def counting(toks, letters):
+            calls.append(toks)
+            return word_from_tokens(toks, letters)
+
+        monkeypatch.setattr(formats, "_word_from_tokens", counting)
+        d = load_dataset(path)
+        assert len(d.words) == 93
+        assert len(calls) <= len(d.alphabet) + 1
 
     def test_each_distinct_token_is_parsed_once(self, monkeypatch):
         calls, checks = [], []
