@@ -14,6 +14,7 @@ letter recording an empty message on one channel.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -139,7 +140,8 @@ class SampleSet:
     toolkit validates shape only, never veracity. `words` may be any iterable
     of letter sequences; each distinct letter is checked once, in sorted order.
     A word is a sequence of letters and a letter an (in, out) sequence of
-    strings; anything else raises FormatError.
+    strings; anything else raises FormatError. The length index `by_length[n]`
+    holds the words of length n, for n up to the longest; built on first use.
     """
 
     words: frozenset[Word]
@@ -172,6 +174,14 @@ class SampleSet:
             _check_letter(letter)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "alphabet", alphabet)
+
+    @cached_property
+    def by_length(self) -> tuple[tuple[Word, ...], ...]:
+        """The words of each length, shortest first; () for an empty set."""
+        slots: dict[int, list[Word]] = defaultdict(list)
+        for w in self.words:
+            slots[len(w)].append(w)
+        return tuple(tuple(slots[n]) for n in range(max(slots, default=-1) + 1))
 
     @classmethod
     def _trusted(cls, words, alphabet) -> "SampleSet":

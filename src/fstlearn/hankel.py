@@ -10,8 +10,8 @@ induces the binary matrices
 find_basis grows a mask by Gaussian elimination until its H_Theta reaches
 the rank of the full candidate Hankel block, which for exhaustively
 sampled deterministic ground truth equals the minimal state count; it
-works on that block's distinct nonzero rows and columns only, and keeps
-one number per distinct suffix while it reads D.
+works on that block's distinct nonzero rows and columns only, reads D once,
+by length (SampleSet.by_length), and keeps one number per distinct suffix.
 check_closed tests that the H_chi rows do not raise the rank of H_Theta;
 when they do, the data or the mask is too small to support learning.
 Both decide rank exactly by eliminate, on Python ints, which updates only
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, count, product
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -144,7 +144,7 @@ def default_mask_len(d: SampleSet) -> int:
     psi chi gamma stays within the sampled horizon; empty recordings are an analysis error."""
     if not d.words:
         raise AnalysisError("learn", "dataset is empty")
-    return max(0, (max(map(len, d.words)) - 1) // 2)
+    return max(0, (len(d.by_length) - 2) // 2)  # the length index has L + 1 slots
 
 
 def _first_of_each(words, key) -> list[Word]:
@@ -168,17 +168,18 @@ def find_basis(d: SampleSet, max_len: int) -> Mask:
     none is left (then the mask's H_Theta has the block's rank).
     Deterministic for a fixed D. The cut keeps the full block's mask: a
     zero line never holds a pivot, a repeat acts as its first twin.
+    D is read once, by length (d.by_length), up to length 2 * max_len; the
+    order of reading numbers the suffixes but reaches no output.
     Raises ResourceLimitError before allocating over MAX_BLOCK_CELLS cells.
     """
-    ids: dict[Word, int] = {(): 0}  # suffix -> its number, in order of first sight
-    sid = ids.setdefault
+    ids: dict[Word, int] = defaultdict(count().__next__)  # suffix -> its number, in order of first sight
+    ids[()]  # eps is 0
     after: dict[Word, set[int]] = defaultdict(set, {(): set()})  # prefix -> the suffix numbers completing it in D
-    top = min(2 * max_len, max(map(len, d.words), default=0))  # a longer word has no in-range split
-    splits = [range(max(0, n - max_len), min(n, max_len) + 1) for n in range(top + 1)]  # by length
-    for w in d.words:
-        if (n := len(w)) <= top:
-            for k in splits[n]:
-                after[w[:k]].add(sid(w[k:], len(ids)))
+    for n, words in enumerate(d.by_length[: 2 * max_len + 1]):  # a longer word has no in-range split
+        splits = range(max(0, n - max_len), min(n, max_len) + 1)
+        for w in words:
+            for k in splits:
+                after[w[:k]].add(ids[w[k:]])
     pcand = _first_of_each(after, lambda p: frozenset(after[p]))
     rows_of: dict[int, list[int]] = {0: []}  # suffix number -> the kept rows holding it
     for i, p in enumerate(pcand):

@@ -241,8 +241,10 @@ def learn_pipeline(d: SampleSet) -> LearnResult:
     The states are the nonzero H_Theta rows, eps first; find_basis gives each a pivot, so they
     are distinct and independent. The data is closed iff every H_chi row lies in their row space;
     only H_chi rows that are neither zero nor a state's need the stacked elimination that tests
-    it. The data is natural iff the eps row is a state's and each state's H_chi rows are zero or
-    a state's: its arcs. The machine is built unchecked: its names are "0".."k-1" and its letters
+    it, and only when eps is not in D. With eps in D, (eps, eps) is a pivot, so H_Theta over the
+    mask is square and nonsingular and its rows span every row of their width. The data is
+    natural iff the eps row is a state's and each state's H_chi rows are zero or a state's: its
+    arcs. The machine is built unchecked: its names are "0".."k-1" and its letters
     d's. The mask length is hankel.default_mask_len(d), which rejects an empty d."""
     mask = find_basis(d, default_mask_len(d))
     theta = block_rows(d, mask, ())
@@ -250,7 +252,7 @@ def learn_pipeline(d: SampleSet) -> LearnResult:
     zero = (0,) * len(mask.suffixes)
     state = {row: str(k) for k, row in enumerate(row for row in theta if row != zero)}
     stray = [row for rows in shifted.values() for row in rows if row != zero and row not in state]
-    if stray and eliminate([*state, *stray])[-1][0] >= len(state):
+    if stray and () not in d.words and eliminate([*state, *stray])[-1][0] >= len(state):
         raise ClosednessError("closedness", _NOT_CLOSED)
     if not state:
         raise DegenerateRankError("decompose", _RANK_ZERO)

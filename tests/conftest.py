@@ -65,9 +65,10 @@ DEMO_WORDS = frozenset(
 
 XU, YU, XV, YV = ("x", "u"), ("y", "u"), ("x", "v"), ("y", "v")
 
-# The stacked span test runs only on an H_chi row that is neither zero nor an H_Theta row.
-# Both sets learn the mask ([eps, xu], [eps, xu]). Here H_Theta is [11, 10] and H_xu is
-# [10, 01]: 01 = 11 - 10 lies in the row space, so the data is closed but not natural.
+# The stacked span test runs only on an H_chi row that is neither zero nor an H_Theta row,
+# and only when eps is not in D. Both sets learn the mask ([eps, xu], [eps, xu]). Here
+# H_Theta is [11, 10] and H_xu is [10, 01]: 01 = 11 - 10 lies in the row space, so the data
+# is closed but not natural.
 STRAY_IN_SPAN_WORDS = frozenset({(), (XU,), (XU, XU, XU)})
 # Here H_Theta is [00, 01] and H_xu is [01, 11]: 11 leaves the row space.
 STRAY_OUT_OF_SPAN_WORDS = frozenset({(XU, XU), (XU, XU, XU)})

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fstlearn.hankel
 from fstlearn import (
+    AnalysisError,
     EPS,
     Fst,
     HankelSet,
@@ -237,6 +238,27 @@ class TestFindBasis:
             nonzero = [row for row in theta if any(row)]
             assert len(eliminate(theta)) == len(nonzero) == len(set(nonzero))
 
+    @given(
+        words=words_strategy(max_words=8, max_len=5, letters=PAIR_LETTERS + (("x", EPS), (EPS, "u"))),
+        prefix_closed=st.booleans(),
+        max_len=st.integers(min_value=0, max_value=5),
+    )
+    @example(words=STRAY_IN_SPAN_WORDS, prefix_closed=False, max_len=1)
+    @example(words=STRAY_OUT_OF_SPAN_WORDS, prefix_closed=False, max_len=1)
+    @settings(max_examples=200, deadline=None)
+    def test_with_eps_in_d_h_theta_over_the_mask_is_square_and_nonsingular(self, words, prefix_closed, max_len):
+        # learn_pipeline skips its stacked span elimination when eps is in D: the
+        # H_Theta rows then span every row of their width, so no H_chi row can
+        # leave their row space.
+        words = {(), *words}
+        if prefix_closed:
+            words = {w[:k] for w in words for k in range(len(w) + 1)}
+        d = SampleSet.from_words(words)
+        for n in (max_len, fstlearn.hankel.default_mask_len(d)):
+            theta = block_rows(d, find_basis(d, n), ())
+            assert len(theta) == len(theta[0])
+            assert sorted(i for i, _ in ref_eliminate(theta)) == list(range(len(theta)))
+
     def test_traced_peak_stays_small_on_an_exhaustive_sample(self):
         # 6,061 words, all those up to length 13 of a minimal six-state machine.
         # The peak is about 585 kB on Python 3.10-3.13; a suffix tuple kept per
@@ -330,6 +352,28 @@ class TestFindBasisAgainstFullBlock:
         for max_len in (*range(4), 7, 10**6):  # 7 and 10**6 lie past every word length
             assert find_basis(d, max_len) == ref_find_basis_full_block(d, max_len)
 
+    @given(
+        words=words_strategy(max_words=8, max_len=5),
+        prefix_closed=st.booleans(),
+        rng=st.randoms(use_true_random=False),
+    )
+    @example(words=DEMO_WORDS, prefix_closed=False, rng=random.Random(0))
+    @settings(max_examples=100, deadline=None)
+    def test_same_mask_in_any_order_within_a_length(self, words, prefix_closed, rng):
+        # find_basis numbers suffixes in the order it reads them; the mask must not show it.
+        if prefix_closed:
+            words = {w[:k] for w in words for k in range(len(w) + 1)}
+        d = SampleSet.from_words(words)
+        reordered = []
+        for reorder in (lambda ws: rng.sample(ws, len(ws)), lambda ws: ws[::-1]):
+            other = SampleSet.from_words(words)
+            other.__dict__["by_length"] = tuple(tuple(reorder(ws)) for ws in d.by_length)
+            reordered.append(other)
+        for max_len in (*range(4), 7, 10**6):  # 7 and 10**6 lie past every word length
+            mask = find_basis(d, max_len)
+            assert mask == ref_find_basis_full_block(d, max_len)
+            assert all(find_basis(other, max_len) == mask for other in reordered)
+
     def test_same_mask_on_an_exhaustive_six_state_sample(self):
         machine, words = spectral_ground_truth(84, max_states=6)
         assert len(minimize(machine).states) == 6
@@ -347,6 +391,33 @@ class TestFindBasisAgainstFullBlock:
         with pytest.raises(ResourceLimitError) as err:
             find_basis(demo_dataset, 1)
         assert str(err.value) == "Hankel block of 2 distinct rows x 3 distinct columns exceeds the 5-cell bound"
+
+
+class TestLengthIndex:
+    """SampleSet.by_length, through which default_mask_len and find_basis read D."""
+
+    @given(words=words_strategy(max_words=8, max_len=5), trusted=st.booleans())
+    @example(words=frozenset(), trusted=False)
+    @example(words=frozenset(), trusted=True)
+    @example(words=frozenset({()}), trusted=True)
+    @settings(max_examples=100, deadline=None)
+    def test_each_word_once_in_the_slot_of_its_length(self, words, trusted):
+        # The dataset reader builds its sets through SampleSet._trusted.
+        if trusted:
+            d = SampleSet._trusted(frozenset(words), tuple(sorted({l for w in words for l in w})))
+        else:
+            d = SampleSet.from_words(words)
+        index = d.by_length
+        assert d.by_length is index
+        assert sorted(w for ws in index for w in ws) == sorted(words)
+        assert all(len(w) == n for n, ws in enumerate(index) for w in ws)
+        assert len(index) == max(map(len, words), default=-1) + 1
+        if words:
+            assert fstlearn.hankel.default_mask_len(d) == default_mask_len(words)
+        else:
+            with pytest.raises(AnalysisError) as err:
+                fstlearn.hankel.default_mask_len(d)
+            assert (err.value.stage, err.value.message) == ("learn", "dataset is empty")
 
 
 class TestCheckClosed:

@@ -389,7 +389,8 @@ class TestSpanTest:
         "words, error, stage, eliminations",
         [
             (DEMO_WORDS, None, None, 0),  # every H_chi row is zero or an H_Theta row
-            (STRAY_IN_SPAN_WORDS, NaturalityError, "naturality", 1),
+            # eps is in D, so H_Theta spans every shifted row: no elimination runs.
+            (STRAY_IN_SPAN_WORDS, NaturalityError, "naturality", 0),
             (STRAY_OUT_OF_SPAN_WORDS, ClosednessError, "closedness", 1),
         ],
         ids=["no-stray-row", "stray-row-in-span", "stray-row-out-of-span"],
