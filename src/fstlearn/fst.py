@@ -156,16 +156,22 @@ class SampleSet:
         words = list(words)  # the one pass over any iterable
         _refuse_types(set(map(type, words)), "word", "a sequence of letters")
         words = list(map(tuple, words))  # a tuple is not copied
-        kinds = set(map(type, chain.from_iterable(words)))
+        try:  # the distinct letters, so that each type below is read once
+            letters = set(chain.from_iterable(words))
+        except TypeError:  # an unhashable letter or symbol: read every occurrence
+            letters = None
+        kinds = set(map(type, chain.from_iterable(words) if letters is None else letters))
         if not kinds <= {tuple}:  # refuse a string or a scalar, else copy to tuple letters
             _refuse_types(kinds, "letter", "an (in, out) pair", str)
             words = [tuple(map(tuple, w)) for w in words]
+            letters = None
         try:
             words = frozenset(words)
         except TypeError:  # an unhashable symbol, named below
             letters = list(chain.from_iterable(words))
         else:
-            letters = set(chain.from_iterable(words))
+            if letters is None:
+                letters = set(chain.from_iterable(words))
         odd = [repr(l) for l in letters if not all(isinstance(sym, str) for sym in l)]
         if odd:
             raise FormatError(f"bad letter {min(odd)}: symbols must be strings")
@@ -244,19 +250,22 @@ def _trim_order(arcs, nodes, finals, initial) -> list:
 
     arcs[k] lists node k's (in, out, target) moves, for every k in nodes, in
     the walk's order: sorted by (in, out, str(target)), as in Fst.arcs. The
-    list is empty when initial reaches no node in finals.
+    list is empty when initial reaches no node in finals. The walk back
+    from finals runs only when some node is not final; otherwise every
+    node reaches one.
     """
-    back = {k: [] for k in nodes}
-    for k in nodes:
-        for (_, _, t) in arcs[k]:
-            back[t].append(k)
     live = set(finals)
-    stack = list(live)
-    while stack:
-        for p in back[stack.pop()]:
-            if p not in live:
-                live.add(p)
-                stack.append(p)
+    if not live.issuperset(nodes):
+        back = {k: [] for k in nodes}
+        for k in nodes:
+            for (_, _, t) in arcs[k]:
+                back[t].append(k)
+        stack = list(live)
+        while stack:
+            for p in back[stack.pop()]:
+                if p not in live:
+                    live.add(p)
+                    stack.append(p)
     if initial not in live:
         return []
     order = [initial]
@@ -299,9 +308,11 @@ def _machine(arcs, finals) -> Fst:
 
     arcs[k] lists node k's (in, out, target) moves, as explore gives
     them, and node 0 is initial. The nodes _trim_order keeps, given moves
-    sorted as it needs, are named "0".."n-1" in its order.
+    sorted as it needs (a list of one move is sorted already), are named
+    "0".."n-1" in its order.
     """
-    arcs = [sorted(moves, key=lambda m: (m[0], m[1], str(m[2]))) for moves in arcs]
+    key = lambda m: (m[0], m[1], str(m[2]))
+    arcs = [sorted(moves, key=key) if len(moves) > 1 else moves for moves in arcs]
     order = _trim_order(arcs, range(len(arcs)), finals, 0)
     if not order:
         return Fst._trusted(("0",), "0", frozenset(), frozenset(), trimmed=True)
@@ -356,26 +367,88 @@ def _closure(edges, nodes) -> frozenset:
     return frozenset(seen)
 
 
+def _silent_components(edges, roots):
+    """Close the strongly connected components of the silent moves, once each.
+
+    Yields (closure, members) for each component that a node in roots
+    reaches by silent (EPS, EPS) moves, successors first (Tarjan's walk,
+    with an explicit stack in place of recursion): closure is the set of
+    nodes the members reach by silent moves, members included, built from
+    the closures of the components their silent moves leave to.
+    """
+    number: dict[int, int] = {}
+    low: dict[int, int] = {}
+    closed: dict[int, frozenset] = {}
+    stack = []
+    for root in roots:
+        if root in number:
+            continue
+        number[root] = low[root] = len(number)
+        stack.append(root)
+        walk = [(root, iter(edges[root]))]
+        while walk:
+            v, moves = walk[-1]
+            for (i, o, t) in moves:
+                if not i == o == EPS:
+                    continue
+                if t not in number:
+                    number[t] = low[t] = len(number)
+                    stack.append(t)
+                    walk.append((t, iter(edges[t])))
+                    break
+                if t not in closed:  # still on the stack, so in v's component
+                    low[v] = min(low[v], number[t])
+            else:
+                walk.pop()
+                if walk:
+                    u = walk[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == number[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    reach = set(members)
+                    for n in members:
+                        for (i, o, t) in edges[n]:
+                            if i == o == EPS and t not in reach:
+                                reach |= closed[t]
+                    reach = frozenset(reach)
+                    for n in members:
+                        closed[n] = reach
+                    yield reach, members
+
+
 def close_silent(edges, finals) -> SimpleNamespace:
     """A numbered graph with its silent steps closed: (initial, arcs, finals).
 
     Node 0 is initial; edges[k] lists node k's (in, out, target) moves, as
-    explore gives them. Node k takes the letter moves of every node in
-    its _closure, listed in arcs[k], and is final when any of those nodes
-    is in finals; a node with no silent move keeps its list as it is.
-    counterexample reads the result as a side and _machine builds it.
+    explore gives them. Node k takes the letter moves of every node its
+    silent moves reach, itself included, and is final when any of those
+    nodes is in finals. Each strongly connected component of the silent
+    moves is closed once, and its members share one list of moves
+    (Mohri, "Generic epsilon-removal", 2002). A node with no silent move
+    keeps its moves, and only nodes that a silent move leaves or enters
+    are walked. counterexample reads the result as a side and _machine
+    builds it.
     """
-    arcs = []
+    arcs = list(edges)
     final = set()
+    silent = []
     for k, out in enumerate(edges):
-        if any(i == o == EPS for i, o, _ in out):
-            members = _closure(edges, [k])
-            out = [m for n in members for m in edges[n] if not m[0] == m[1] == EPS]
-            if not finals.isdisjoint(members):
+        for (i, o, _) in out:
+            if i == o == EPS:
+                silent.append(k)
+                break
+        else:
+            if k in finals:
                 final.add(k)
-        elif k in finals:
-            final.add(k)
-        arcs.append(out)
+    for reach, members in _silent_components(edges, silent):
+        out = [m for n in reach for m in edges[n] if not m[0] == m[1] == EPS]
+        is_final = not finals.isdisjoint(reach)
+        for k in members:
+            arcs[k] = out
+            if is_final:
+                final.add(k)
     return SimpleNamespace(initial=0, arcs=arcs, finals=final)
 
 
@@ -410,9 +483,11 @@ def compose(a: Fst, b: Fst) -> Fst:
     steps are removed by closure so the result never stores them.
     """
 
+    a_arcs, b_arcs = a.arcs, b.arcs
+
     def moves(node):
         p, q = node
-        return compose_steps(a.arcs[p], b.arcs[q], p, q)
+        return compose_steps(a_arcs[p], b_arcs[q], p, q)
 
     order, edges = explore((a.initial, b.initial), moves, "composition")
     finals = {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals}
@@ -423,12 +498,14 @@ def compose(a: Fst, b: Fst) -> Fst:
 def intersect(a: Fst, b: Fst) -> Fst:
     """Product acceptor over identical pair letters; L = L(a) and L(b), with no silent move to close."""
 
+    a_arcs, b_arcs = a.arcs, b.arcs
+
     def moves(node):
         p, q = node
         moves_b: dict[Letter, list[str]] = {}
-        for (i, o, q2) in b.arcs[q]:
+        for (i, o, q2) in b_arcs[q]:
             moves_b.setdefault((i, o), []).append(q2)
-        for (i, o, p2) in a.arcs[p]:
+        for (i, o, p2) in a_arcs[p]:
             for q2 in moves_b.get((i, o), ()):
                 yield i, o, (p2, q2)
 
@@ -493,9 +570,10 @@ def counterexample(a, b) -> Word | None:
     which machine represents either language.
     """
     a, b = (trim(m) if isinstance(m, Fst) else m for m in (a, b))
+    a_arcs, b_arcs = a.arcs, b.arcs
 
     def moves(node):
-        ma, mb = _successors(a.arcs, node[0]), _successors(b.arcs, node[1])
+        ma, mb = _successors(a_arcs, node[0]), _successors(b_arcs, node[1])
         for letter in sorted(ma.keys() | mb.keys()):
             yield *letter, (frozenset(ma.get(letter, ())), frozenset(mb.get(letter, ())))
 

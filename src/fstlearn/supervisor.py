@@ -86,14 +86,16 @@ def verify_resilient(p: Fst, s: Fst, a_s: Fst, a_a: Fst, m_k: Fst) -> SynthesisR
     Every reachable node counts against the bound of the equivalence check.
     """
 
+    as_arcs, s_arcs, aa_arcs, p_arcs = a_s.arcs, s.arcs, a_a.arcs, p.arcs
+
     def moves(node):
         xy, z, w = node
-        inner = compose_steps(a_s.arcs[xy[0]], s.arcs[xy[1]], *xy)
-        for (i, o, (xy2, z2)) in compose_steps(inner, a_a.arcs[z], xy, z):
+        inner = compose_steps(as_arcs[xy[0]], s_arcs[xy[1]], *xy)
+        for (i, o, (xy2, z2)) in compose_steps(inner, aa_arcs[z], xy, z):
             if i == o == EPS:
                 yield EPS, EPS, (xy2, z2, w)
                 continue
-            for (pi, po, w2) in p.arcs[w]:
+            for (pi, po, w2) in p_arcs[w]:
                 if pi == o and po == i:
                     yield o, i, (xy2, z2, w2)
 

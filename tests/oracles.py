@@ -26,8 +26,8 @@ from fstlearn.fst import (
     SampleSet,
     Word,
     _check_symbol,
+    _closure,
     _successors,
-    close_silent,
     explore,
     language_upto,
     minimize,
@@ -480,6 +480,35 @@ def ref_canonical(fst: Fst) -> Fst:
     )
 
 
+def ref_trim(fst: Fst) -> Fst:
+    """The states reachable from the initial one that reach a final one.
+
+    Both sets grow to a fixpoint by sweeps over the transition set, not by
+    the package's trim walk. State names are kept; the empty language
+    gives the single-state machine with no finals, as trim does.
+    """
+    reach, live = {fst.initial}, set(fst.finals)
+    grown = True
+    while grown:
+        grown = False
+        for (s, _, _, d) in fst.transitions:
+            if s in reach and d not in reach:
+                reach.add(d)
+                grown = True
+            if d in live and s not in live:
+                live.add(s)
+                grown = True
+    keep = reach & live
+    if fst.initial not in keep:
+        return Fst(("0",), "0", frozenset(), frozenset())
+    return Fst(
+        tuple(s for s in fst.states if s in keep),
+        fst.initial,
+        frozenset(tr for tr in fst.transitions if tr[0] in keep and tr[3] in keep),
+        fst.finals & keep,
+    )
+
+
 def ref_machine(arcs, finals) -> Fst:
     """The trimmed, canonically named machine of a numbered graph.
 
@@ -490,12 +519,28 @@ def ref_machine(arcs, finals) -> Fst:
         (names[k], i, o, names[t]) for k, moves in enumerate(arcs) for (i, o, t) in moves
     )
     raw = Fst(tuple(names), "0", transitions, frozenset(names[k] for k in finals))
-    return ref_canonical(trim(raw))
+    return ref_canonical(ref_trim(raw))
+
+
+def ref_close_silent(edges, finals) -> SimpleNamespace:
+    """close_silent as it was: each node with a silent move closed on its own."""
+    arcs = []
+    final = set()
+    for k, out in enumerate(edges):
+        if any(i == o == EPS for i, o, _ in out):
+            members = _closure(edges, [k])
+            out = [m for n in members for m in edges[n] if not m[0] == m[1] == EPS]
+            if not finals.isdisjoint(members):
+                final.add(k)
+        elif k in finals:
+            final.add(k)
+        arcs.append(out)
+    return SimpleNamespace(initial=0, arcs=arcs, finals=final)
 
 
 def ref_remove_silent(edges, finals) -> Fst:
-    """The trimmed, canonically named machine of close_silent(edges, finals)."""
-    closed = close_silent(edges, finals)
+    """The trimmed, canonically named machine of ref_close_silent(edges, finals)."""
+    closed = ref_close_silent(edges, finals)
     return ref_machine(closed.arcs, closed.finals)
 
 
@@ -529,7 +574,7 @@ def ref_minimize(fst: Fst) -> Fst:
     trim and canonically named. The empty language minimizes to the
     single-state machine with no finals.
     """
-    t = trim(fst)
+    t = ref_trim(fst)
     if not t.finals:
         return Fst(("0",), "0", frozenset(), frozenset())
     dtrans, dfinals = ref_determinize(t)
@@ -555,7 +600,7 @@ def ref_minimize(fst: Fst) -> Fst:
             transitions.add((str(cls[k]), l[0], l[1], str(cls[total[k][li]])))
     finals = frozenset(str(cls[k]) for k in dfinals)
     raw = Fst(states, str(cls[0]), frozenset(transitions), finals)
-    return ref_canonical(trim(raw))
+    return ref_canonical(ref_trim(raw))
 
 
 def ref_counterexample(a: Fst, b: Fst) -> Word | None:
@@ -566,8 +611,8 @@ def ref_counterexample(a: Fst, b: Fst) -> Word | None:
     first node where they differ. The witness follows the edge that first
     reached each node on its way.
     """
-    da, fa = ref_determinize(trim(a))
-    db, fb = ref_determinize(trim(b))
+    da, fa = ref_determinize(ref_trim(a))
+    db, fb = ref_determinize(ref_trim(b))
     letters = sorted(
         {l for row in da for l in row} | {l for row in db for l in row}
     )
@@ -605,7 +650,7 @@ def ref_is_prefix_closed(fst: Fst) -> bool:
     reachable subset state is accepting. The empty language is vacuously
     prefix closed.
     """
-    t = trim(fst)
+    t = ref_trim(fst)
     if not t.finals:
         return True
     dtrans, finals = ref_determinize(t)
@@ -698,7 +743,7 @@ def ref_pattern_to_fst(text: str) -> Fst:
         raise FormatError(f"unrecognized characters in pattern {text!r}")
 
     # edges[k] lists node k's (in, out, target) moves; an (EPS, EPS) move is
-    # a silent scaffolding link, closed away by close_silent.
+    # a silent scaffolding link, closed away by ref_close_silent.
     edges: list[list[tuple[str, str, int]]] = []
 
     def fresh() -> int:

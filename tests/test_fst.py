@@ -12,7 +12,7 @@ import warnings
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fstlearn import (
@@ -42,6 +42,7 @@ from fstlearn import fst as fst_module
 from oracles import (
     PAIR_LETTERS,
     ref_accepts,
+    ref_close_silent,
     ref_compose_language,
     ref_counterexample,
     ref_is_prefix_closed,
@@ -753,7 +754,8 @@ PATTERNS = st.lists(
 
 def _on_the_reference_path(build, *args):
     """build(*args) with machines named as before the one builder: a raw
-    machine, trim, then a renaming, each built through Fst's checks. A
+    machine, trimmed by the reference's own walks, then a renaming, each
+    built through Fst's checks, and silent steps closed node by node. A
     pattern is read by ref_pattern_to_fst, which builds on that path."""
     machine = fst_module._machine
     build = {pattern_to_fst: ref_pattern_to_fst}.get(build, build)
@@ -761,7 +763,26 @@ def _on_the_reference_path(build, *args):
         warnings.simplefilter("ignore")  # synthesize on a language that is not prefix-closed
         # trim's empty-language machine, _machine([], ()), is let through: ref_machine trims.
         mp.setattr(fst_module, "_machine", lambda arcs, finals: (ref_machine if arcs else machine)(arcs, finals))
+        mp.setattr(fst_module, "close_silent", ref_close_silent)
         return build(*args)
+
+
+def _dead_end() -> Fst:
+    """A machine with a state that reaches no final one, so trim drops it."""
+    return Fst(("0", "1", "2"), "0", frozenset({("0", "x", "u", "1"), ("0", "y", "v", "2")}), frozenset({"1"}))
+
+
+def _unreachable() -> Fst:
+    """A machine with a final state that no path from the initial one enters."""
+    return Fst(("0", "1", "2"), "0", frozenset({("0", "x", "u", "1"), ("2", "y", "v", "1")}), frozenset({"0", "1", "2"}))
+
+
+def _all_final(n: int) -> Fst:
+    """An all-final ring that also inserts and deletes u, so its products have silent steps."""
+    states = tuple(str(k) for k in range(n))
+    moves = {(s, "x", "u", str((k + 1) % n)) for k, s in enumerate(states)}
+    moves |= {(s, i, o, s) for s in states for (i, o) in ((EPS, "u"), ("u", EPS))}
+    return Fst(states, "0", frozenset(moves), frozenset(states))
 
 
 class TestOneBuilder:
@@ -775,6 +796,11 @@ class TestOneBuilder:
         machines(max_states=4, letters=PAIR_LETTERS[:2] + EPS_LETTERS),
         machines(max_states=3, letters=PAIR_LETTERS[:2] + EPS_LETTERS),
     )
+    # Every product node final, so the builder skips the walk back from the
+    # finals; then a dead state and an unreachable one, which need both walks.
+    @example(_all_final(3), _all_final(2), _all_final(1))
+    @example(_dead_end(), _all_final(2), _unreachable())
+    @example(_unreachable(), _unreachable(), _dead_end())
     def test_products_match_the_reference_path(self, a, b, c):
         for build, args in ((compose, (a, b)), (intersect, (a, b)), (synthesize, (a, b, c))):
             with warnings.catch_warnings():
@@ -809,9 +835,41 @@ class TestOneBuilder:
         assert made.arcs["3"] == (("x", "v", "2"),)
 
 
-def _dead_end() -> Fst:
-    """A machine with a state that reaches no final one, so trim drops it."""
-    return Fst(("0", "1", "2"), "0", frozenset({("0", "x", "u", "1"), ("0", "y", "v", "2")}), frozenset({"1"}))
+@st.composite
+def numbered_graphs(draw, max_nodes: int = 7):
+    """A numbered graph as explore gives it, silent (EPS, EPS) moves common, and its finals."""
+    n = draw(st.integers(1, max_nodes))
+    letters = st.sampled_from(((EPS, EPS), (EPS, EPS)) + PAIR_LETTERS[:2] + EPS_LETTERS[:1])
+    moves = st.lists(st.tuples(letters, st.integers(0, n - 1)), max_size=4)
+    edges = [[(i, o, t) for ((i, o), t) in draw(moves)] for _ in range(n)]
+    return edges, draw(st.sets(st.integers(0, n - 1)))
+
+
+# Reads PAIR_LETTERS[:2] and EPS_LETTERS[0]; a closed graph is compared with it.
+_SILENT_SIDE = Fst(
+    ("0", "1"),
+    "0",
+    frozenset({("0", *PAIR_LETTERS[0], "1"), ("1", *PAIR_LETTERS[1], "0"), ("1", *EPS_LETTERS[0], "1")}),
+    frozenset({"0"}),
+)
+
+
+class TestSilentClosure:
+    """close_silent closes each strongly connected component of the silent
+    moves once; the reference closes each node on its own."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(numbered_graphs())
+    @example(([[(EPS, EPS, 1)], [(EPS, EPS, 2), ("x", "u", 0)], [(EPS, EPS, 0)]], {2}))  # one silent cycle
+    @example(([[(EPS, EPS, 0), (EPS, EPS, 1)], [(EPS, EPS, 2)], [("y", "v", 2)]], set()))  # a chain into a loop
+    def test_same_closure_as_node_by_node(self, graph):
+        edges, finals = graph
+        closed, ref = fst_module.close_silent(edges, finals), ref_close_silent(edges, finals)
+        assert closed.finals == ref.finals
+        assert [sorted(out) for out in closed.arcs] == [sorted(out) for out in ref.arcs]
+        made = fst_module._machine(closed.arcs, closed.finals)
+        assert fst_to_text(made) == fst_to_text(fst_module._machine(ref.arcs, ref.finals))
+        assert counterexample(closed, _SILENT_SIDE) == counterexample(ref, _SILENT_SIDE)
 
 
 class TestNoReferenceCycles:

@@ -19,6 +19,7 @@ from fstlearn import (
     ResourceLimitError,
     SynthesisResult,
     accepts,
+    compose,
     equivalent,
     identity_fst,
     invert,
@@ -361,3 +362,18 @@ class TestPatternToFst:
         made = pattern_to_fst(text)
         assert time.perf_counter() - t0 < 1.0
         assert fst_to_text(made) == fst_to_text(pattern_to_fst(like))
+
+    def test_a_long_silent_cycle_is_closed_once(self):
+        # A ring of n (eps, m) moves fed to one state that deletes m: every
+        # product node lies on one silent cycle. Closing each node on its own
+        # took 1.3-1.9 s at n = 2000; closing the cycle once takes under 0.01 s.
+        def ring(n):
+            states = tuple(map(str, range(n)))
+            moves = {(s, EPS, "m", str((k + 1) % n)) for k, s in enumerate(states)} | {("0", "x", "u", "0")}
+            return Fst(states, "0", frozenset(moves), frozenset(states))
+
+        drop = Fst(("0",), "0", frozenset({("0", "m", EPS, "0"), ("0", "u", "u", "0")}), frozenset({"0"}))
+        t0 = time.perf_counter()
+        made = compose(ring(2000), drop)
+        assert time.perf_counter() - t0 < 0.5
+        assert fst_to_text(made) == fst_to_text(compose(ring(3), drop))
