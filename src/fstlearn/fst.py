@@ -367,18 +367,21 @@ def _closure(edges, nodes) -> frozenset:
     return frozenset(seen)
 
 
-def _silent_components(edges, roots):
+def _silent_components(edges, roots, finals):
     """Close the strongly connected components of the silent moves, once each.
 
-    Yields (closure, members) for each component that a node in roots
-    reaches by silent (EPS, EPS) moves, successors first (Tarjan's walk,
-    with an explicit stack in place of recursion): closure is the set of
-    nodes the members reach by silent moves, members included, built from
-    the closures of the components their silent moves leave to.
+    Yields (moving, final, members) for each component that a node in
+    roots reaches by silent (EPS, EPS) moves, successors first (Tarjan's
+    walk, with an explicit stack in place of recursion): moving holds the
+    nodes with a letter move that the members reach by silent moves,
+    members included, so a long silent chain keeps small sets, and final
+    whether any node so reached is in finals; both are built from those
+    of the components their silent moves leave to.
     """
     number: dict[int, int] = {}
     low: dict[int, int] = {}
-    closed: dict[int, frozenset] = {}
+    closed: dict[int, int] = {}  # node -> its component's place in comps
+    comps: list[tuple[set, bool]] = []
     stack = []
     for root in roots:
         if root in number:
@@ -407,15 +410,19 @@ def _silent_components(edges, roots):
                     members = [stack.pop()]
                     while members[-1] != v:
                         members.append(stack.pop())
-                    reach = set(members)
+                    moving, final, below = set(), not finals.isdisjoint(members), set()
                     for n in members:
                         for (i, o, t) in edges[n]:
-                            if i == o == EPS and t not in reach:
-                                reach |= closed[t]
-                    reach = frozenset(reach)
-                    for n in members:
-                        closed[n] = reach
-                    yield reach, members
+                            if not i == o == EPS:
+                                moving.add(n)
+                            elif t in closed:  # closed before, so in a component below
+                                below.add(closed[t])
+                    for c in below:
+                        moving |= comps[c][0]
+                        final = final or comps[c][1]
+                    closed.update(dict.fromkeys(members, len(comps)))
+                    comps.append((moving, final))
+                    yield moving, final, members
 
 
 def close_silent(edges, finals) -> SimpleNamespace:
@@ -442,9 +449,8 @@ def close_silent(edges, finals) -> SimpleNamespace:
         else:
             if k in finals:
                 final.add(k)
-    for reach, members in _silent_components(edges, silent):
-        out = [m for n in reach for m in edges[n] if not m[0] == m[1] == EPS]
-        is_final = not finals.isdisjoint(reach)
+    for moving, is_final, members in _silent_components(edges, silent, finals):
+        out = [m for n in moving for m in edges[n] if not m[0] == m[1] == EPS]
         for k in members:
             arcs[k] = out
             if is_final:

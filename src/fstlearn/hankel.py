@@ -11,7 +11,8 @@ find_basis grows a mask by Gaussian elimination until its H_Theta reaches
 the rank of the full candidate Hankel block, which for exhaustively
 sampled deterministic ground truth equals the minimal state count; it
 works on that block's distinct nonzero rows and columns only, reads D once,
-by length (SampleSet.by_length), and keeps one number per distinct suffix.
+by length (SampleSet.by_length), and keeps one number per distinct suffix,
+in a plain list per prefix: no split of D is met twice.
 check_closed tests that the H_chi rows do not raise the rank of H_Theta;
 when they do, the data or the mask is too small to support learning.
 Both decide rank exactly by eliminate, on Python ints, which updates only
@@ -147,12 +148,14 @@ def default_mask_len(d: SampleSet) -> int:
     return max(0, (len(d.by_length) - 2) // 2)  # the length index has L + 1 slots
 
 
-def _first_of_each(words, key) -> list[Word]:
-    """The shortlex-first word of each distinct key(word), in shortlex order."""
+def _first_of_each(pairs) -> list[Word]:
+    """The shortlex-first word of each distinct key, in shortlex order, from (key, word) pairs."""
     first: dict = {}
-    for w in shortlex(words):
-        first.setdefault(key(w), w)
-    return list(first.values())
+    for key, w in pairs:
+        f = first.setdefault(key, w)
+        if len(w) < len(f) or len(w) == len(f) and w < f:
+            first[key] = w
+    return shortlex(first.values())
 
 
 def find_basis(d: SampleSet, max_len: int) -> Mask:
@@ -169,24 +172,24 @@ def find_basis(d: SampleSet, max_len: int) -> Mask:
     Deterministic for a fixed D. The cut keeps the full block's mask: a
     zero line never holds a pivot, a repeat acts as its first twin.
     D is read once, by length (d.by_length), up to length 2 * max_len; the
-    order of reading numbers the suffixes but reaches no output.
+    order of reading numbers the suffixes but reaches no output. A row is
+    a list: each split (w, |psi|) is met once and gives its own (psi, gamma).
     Raises ResourceLimitError before allocating over MAX_BLOCK_CELLS cells.
     """
     ids: dict[Word, int] = defaultdict(count().__next__)  # suffix -> its number, in order of first sight
     ids[()]  # eps is 0
-    after: dict[Word, set[int]] = defaultdict(set, {(): set()})  # prefix -> the suffix numbers completing it in D
+    after: dict[Word, list[int]] = defaultdict(list, {(): []})  # prefix -> the suffix numbers completing it in D
     for n, words in enumerate(d.by_length[: 2 * max_len + 1]):  # a longer word has no in-range split
-        splits = range(max(0, n - max_len), min(n, max_len) + 1)
-        for w in words:
-            for k in splits:
-                after[w[:k]].add(ids[w[k:]])
-    pcand = _first_of_each(after, lambda p: frozenset(after[p]))
+        for k in range(max(0, n - max_len), min(n, max_len) + 1):
+            for w in words:
+                after[w[:k]].append(ids[w[k:]])
+    pcand = _first_of_each((frozenset(row), p) for p, row in after.items())
     rows_of: dict[int, list[int]] = {0: []}  # suffix number -> the kept rows holding it
     for i, p in enumerate(pcand):
         for s in after[p]:
             rows_of.setdefault(s, []).append(i)
     suffix = list(ids)
-    scand = _first_of_each((suffix[s] for s in rows_of), lambda s: tuple(rows_of[ids[s]]))
+    scand = _first_of_each((tuple(rows), suffix[s]) for s, rows in rows_of.items())
     if len(pcand) * len(scand) > MAX_BLOCK_CELLS:
         raise ResourceLimitError(
             f"Hankel block of {len(pcand)} distinct rows x {len(scand)} distinct columns "
@@ -194,7 +197,9 @@ def find_basis(d: SampleSet, max_len: int) -> Mask:
         )
 
     # Pivot on the first entry left down the eps column, the eps row, then row-major.
-    block, rr, cc = ([ids[s] in after[p] for s in scand] for p in pcand), range(len(pcand)), range(len(scand))
+    numbers = [ids[s] for s in scand]
+    block = ([s in row for s in numbers] for row in (set(after[p]) for p in pcand))
+    rr, cc = range(len(pcand)), range(len(scand))
     pivots = [(0, 0)] + eliminate(block, chain(product(rr, [0]), product([0], cc), product(rr, cc)))
     rows, cols = (dict.fromkeys(ix) for ix in zip(*pivots))  # ordered sets of block indices
     return Mask(tuple(pcand[i] for i in rows), tuple(scand[j] for j in cols))

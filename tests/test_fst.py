@@ -862,6 +862,7 @@ class TestSilentClosure:
     @given(numbered_graphs())
     @example(([[(EPS, EPS, 1)], [(EPS, EPS, 2), ("x", "u", 0)], [(EPS, EPS, 0)]], {2}))  # one silent cycle
     @example(([[(EPS, EPS, 0), (EPS, EPS, 1)], [(EPS, EPS, 2)], [("y", "v", 2)]], set()))  # a chain into a loop
+    @example(([[(EPS, EPS, 1)], [(EPS, EPS, 2), ("y", "v", 0)], [(EPS, EPS, 3)], [("x", "u", 3)]], {0, 1, 2, 3}))  # an all-final chain
     def test_same_closure_as_node_by_node(self, graph):
         edges, finals = graph
         closed, ref = fst_module.close_silent(edges, finals), ref_close_silent(edges, finals)

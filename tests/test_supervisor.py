@@ -377,3 +377,22 @@ class TestPatternToFst:
         made = compose(ring(2000), drop)
         assert time.perf_counter() - t0 < 0.5
         assert fst_to_text(made) == fst_to_text(compose(ring(3), drop))
+
+    def test_a_long_all_final_silent_chain_is_closed_in_linear_time(self):
+        # A chain of n (eps, m) moves into a state that reads x:u, every state
+        # final, fed to one state that deletes m: each product node is its own
+        # silent component. Closures that keep every node they reach grow with
+        # the chain (1.2-1.3 s at n = 4000); keeping only the nodes with a
+        # letter move, finality as a flag, takes about 0.02 s.
+        def chain(n):
+            states = tuple(map(str, range(n + 1)))
+            moves = {(str(k), EPS, "m", str(k + 1)) for k in range(n)} | {(str(n), "x", "u", str(n))}
+            return Fst(states, "0", frozenset(moves), frozenset(states))
+
+        drop = Fst(("0",), "0", frozenset({("0", "m", EPS, "0"), ("0", "u", "u", "0")}), frozenset({"0"}))
+        long_chain = chain(4000)
+        t0 = time.perf_counter()
+        made = compose(long_chain, drop)
+        assert time.perf_counter() - t0 < 0.25
+        assert len(made.states) == 2
+        assert fst_to_text(made) == fst_to_text(compose(chain(3), drop))
