@@ -1,8 +1,8 @@
 """Shared exception types carrying the CLI exit-code convention.
 
 Exit codes: 0 success / positive verdict, 1 negative analysis verdict
-(not resilient, non-natural data, closedness failure), 2 usage or I/O
-error (including negative counts and non-trim simulate machines), 3
+(not resilient, recordings without eps, non-natural data), 2 usage or
+I/O error (including negative counts and non-trim simulate machines), 3
 resource-guard abort, 4 internal error (any other exception; the CLI
 prints its traceback).
 """
@@ -43,7 +43,7 @@ class AnalysisError(FstlearnError):
 
 
 class ClosednessError(AnalysisError):
-    """Some H_chi row leaves the row space of H_theta."""
+    """Some H_chi row leaves the row space of H_theta. No stage raises it; kept for importers."""
 
 
 class DegenerateRankError(AnalysisError):

@@ -11,7 +11,7 @@ basis or the sample set violates the model assumptions.
 
 All steps are deterministic: no randomness, ties broken by row order.
 learn_pipeline takes the same steps exactly, by matching 0/1 rows, without numpy;
-its states, the basis rows, are the nonzero H_Theta rows of find_basis's mask.
+its states, the basis rows, are the H_Theta rows of find_basis's mask.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .errors import AnalysisError, ClosednessError, DegenerateRankError, NaturalityError
+from .errors import AnalysisError, DegenerateRankError, NaturalityError
 from .formats import letter_to_text
 from .fst import Fst, Letter, SampleSet, Word, trim
 from .hankel import (
@@ -31,7 +31,6 @@ from .hankel import (
     build_hankel_set,
     check_closed,  # noqa: F401  stays importable as spectral.check_closed, which tracers wrap
     default_mask_len,
-    eliminate,
     find_basis,
     numeric_rank,
     singular_value_rank,
@@ -40,9 +39,7 @@ from .hankel import (
 if TYPE_CHECKING:
     import numpy as np
 
-# The messages of the learner's gates, shared by the exact and the float stages.
-_NOT_CLOSED = ("an H_chi row leaves the row space of H_Theta: the recordings are too sparse; "
-               "record more or longer attack words")
+# The messages of the float stages' gates; learn_pipeline raises the last one as [naturality].
 _RANK_ZERO = "Hankel block has numeric rank 0; nothing to learn"
 _NOT_NATURAL = ("data does not admit a natural decomposition; the mask is not a basis "
                 "or the samples violate the deterministic-acceptor assumption")
@@ -235,30 +232,28 @@ def tuple_to_fst(t: TransitionTuple) -> Fst:
 
 
 def learn_pipeline(d: SampleSet) -> LearnResult:
-    """find_basis -> closedness gate -> states -> naturality gate -> FST -> letter gate,
-    exactly, on the 0/1 rows of H_Theta and H_chi; each gate raises what the float stages raise.
+    """prefix-closure gate -> find_basis -> states -> naturality gate -> FST -> letter gate,
+    exactly, on the 0/1 rows of H_Theta and H_chi.
 
-    The states are the nonzero H_Theta rows, eps first; find_basis gives each a pivot, so they
-    are distinct and independent. The data is closed iff every H_chi row lies in their row space;
-    only H_chi rows that are neither zero nor a state's need the stacked elimination that tests
-    it, and only when eps is not in D. With eps in D, (eps, eps) is a pivot, so H_Theta over the
-    mask is square and nonsingular and its rows span every row of their width. The data is
-    natural iff the eps row is a state's and each state's H_chi rows are zero or a state's: its
-    arcs. The machine is built unchecked: its names are "0".."k-1" and its letters
-    d's. The mask length is hankel.default_mask_len(d), which rejects an empty d."""
-    mask = find_basis(d, default_mask_len(d))
+    Recordings are a history, so they hold eps; a set without it is refused before any block
+    is built. With eps in D, (eps, eps) is a pivot, so H_Theta over find_basis's mask is square
+    and nonsingular: its rows, eps first, are the states, and they span every H_chi row, so
+    the data is closed. The data is natural iff each state's H_chi rows are zero or a state's:
+    its arcs. The machine is built unchecked: its names are "0".."k-1" and its letters d's.
+    The mask length is hankel.default_mask_len(d), which rejects an empty d."""
+    max_len = default_mask_len(d)
+    if () not in d.words:
+        raise AnalysisError(
+            "prefix-closure",
+            "the recordings lack the empty word <empty>; recordings must be prefix-closed",
+        )
+    mask = find_basis(d, max_len)
     theta = block_rows(d, mask, ())
-    shifted = {chi: block_rows(d, mask, (chi,)) for chi in d.alphabet}
     zero = (0,) * len(mask.suffixes)
-    state = {row: str(k) for k, row in enumerate(row for row in theta if row != zero)}
-    stray = [row for rows in shifted.values() for row in rows if row != zero and row not in state]
-    if stray and () not in d.words and eliminate([*state, *stray])[-1][0] >= len(state):
-        raise ClosednessError("closedness", _NOT_CLOSED)
-    if not state:
-        raise DegenerateRankError("decompose", _RANK_ZERO)
-    moves = [(state[src], chi, row) for chi, rows in shifted.items()
-             for src, row in zip(theta, rows) if src != zero]
-    if theta[0] == zero or any(row != zero and row not in state for _, _, row in moves):
+    state = {row: str(k) for k, row in enumerate(theta)}
+    moves = [(state[src], chi, row)
+             for chi in d.alphabet for src, row in zip(theta, block_rows(d, mask, (chi,)))]
+    if any(row != zero and row not in state for _, _, row in moves):
         raise NaturalityError("naturality", _NOT_NATURAL_TUPLE)
     arcs = frozenset((src, *chi, state[row]) for src, chi, row in moves if row != zero)
     fst = trim(Fst._trusted(tuple(state.values()), "0", arcs, frozenset(state[row] for row in state if row[0])))

@@ -65,12 +65,12 @@ DEMO_WORDS = frozenset(
 
 XU, YU, XV, YV = ("x", "u"), ("y", "u"), ("x", "v"), ("y", "v")
 
-# The stacked span test runs only on an H_chi row that is neither zero nor an H_Theta row,
-# and only when eps is not in D. Both sets learn the mask ([eps, xu], [eps, xu]). Here
-# H_Theta is [11, 10] and H_xu is [10, 01]: 01 = 11 - 10 lies in the row space, so the data
-# is closed but not natural.
+# Two sets with a "stray" H_chi row, neither zero nor an H_Theta row. Both give the mask
+# ([eps, xu], [eps, xu]). Here H_Theta is [11, 10] and H_xu is [10, 01]: 01 = 11 - 10 lies in
+# the row space, so the data is closed but not natural.
 STRAY_IN_SPAN_WORDS = frozenset({(), (XU,), (XU, XU, XU)})
-# Here H_Theta is [00, 01] and H_xu is [01, 11]: 11 leaves the row space.
+# Here eps is not in D, H_Theta is [00, 01] and H_xu is [01, 11]: 11 leaves the row space,
+# so the float reference finds the data not closed; learn_pipeline refuses the set first.
 STRAY_OUT_OF_SPAN_WORDS = frozenset({(XU, XU), (XU, XU, XU)})
 
 

@@ -129,6 +129,23 @@ class TestLearn:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_recordings_without_the_empty_word_exit_one(self, tmp_path, capsys):
+        # The demo recordings without their <empty> line are not prefix-closed:
+        # learn, and pipeline for the channel that reads them, refuse them.
+        data = tmp_path / "no_empty.txt"
+        with open(ATTACKER_DATA, encoding="utf-8") as fh:
+            data.write_text("".join(line for line in fh if line.strip() != "<empty>"))
+        out = tmp_path / "out.fst"
+        for argv in (["learn", "--data", str(data)],
+                     ["pipeline", "--sensor-data", SENSOR_DATA, "--actuator-data", str(data),
+                      "--plant", PLANT, "--mk", MK]):
+            assert main([*argv, "--out", str(out)]) == 1
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and "Traceback" not in err
+            assert err.startswith("error: [prefix-closure] ") and "<empty>" in err
+            assert ("learning the actuator attacker model failed" in err) == (argv[0] == "pipeline")
+            assert not out.exists()
+
 
 class TestSynthAndVerify:
     def test_synth_then_verify_is_resilient(self, tmp_path, capsys, golden_supervisor_file):

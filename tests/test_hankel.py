@@ -228,9 +228,9 @@ class TestFindBasis:
     @example(words=STRAY_IN_SPAN_WORDS, prefix_closed=False, max_len=1)
     @settings(max_examples=200, deadline=None)
     def test_nonzero_mask_rows_are_distinct_and_independent(self, words, prefix_closed, max_len):
-        # learn_pipeline takes the nonzero H_Theta rows of find_basis's mask as its
-        # states without a second elimination. They are a basis because each row
-        # find_basis adds holds a pivot, at any mask length and at the one it uses.
+        # The nonzero H_Theta rows of find_basis's mask are a basis without a second
+        # elimination, because each row find_basis adds holds a pivot, at any mask
+        # length and at the one learn_pipeline uses.
         if prefix_closed:
             words = {w[:k] for w in words for k in range(len(w) + 1)}
         d = SampleSet.from_words(words)
@@ -248,9 +248,9 @@ class TestFindBasis:
     @example(words=STRAY_OUT_OF_SPAN_WORDS, prefix_closed=False, max_len=1)
     @settings(max_examples=200, deadline=None)
     def test_with_eps_in_d_h_theta_over_the_mask_is_square_and_nonsingular(self, words, prefix_closed, max_len):
-        # learn_pipeline skips its stacked span elimination when eps is in D: the
-        # H_Theta rows then span every row of their width, so no H_chi row can
-        # leave their row space.
+        # learn_pipeline learns only when eps is in D, and then takes every mask row as a
+        # state with no closedness test: the H_Theta rows span every row of their width,
+        # so no H_chi row can leave their row space.
         words = {(), *words}
         if prefix_closed:
             words = {w[:k] for w in words for k in range(len(w) + 1)}

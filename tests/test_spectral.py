@@ -22,6 +22,7 @@ from fstlearn import (
     SampleSet,
     TransitionTuple,
     build_hankel_set,
+    check_closed,
     equivalent,
     eval_tuple,
     extract_tuple,
@@ -39,7 +40,7 @@ from fstlearn import (
 )
 import fstlearn.fst
 import fstlearn.spectral
-from fstlearn.hankel import eliminate
+from fstlearn.hankel import default_mask_len
 from conftest import (
     CHI1,
     CHI2,
@@ -363,11 +364,18 @@ class TestLearnPipeline:
         assert "a1:a2" in err.value.message
 
     def test_unclosed_sample_fails_loudly(self):
-        # A sample containing only the one-letter word: the shifted block
-        # leaves the (all-zero) row space, which must be reported as a
-        # closedness failure rather than producing a machine.
+        # A sample containing only the one-letter word lacks eps, so it is
+        # not prefix-closed and is refused before any block is built. The
+        # float reference still finds it not closed: the shifted block
+        # leaves the (all-zero) row space of H_Theta.
+        d = SampleSet.from_words([(CHI1,)])
+        with pytest.raises(AnalysisError) as err:
+            learn_fst(d)
+        assert err.value.stage == "prefix-closure"
+        assert "<empty>" in err.value.message
+        assert not check_closed(build_hankel_set(d, find_basis(d, default_mask_len(d))))
         with pytest.raises(ClosednessError) as err:
-            learn_fst(SampleSet.from_words([(CHI1,)]))
+            ref_learn_pipeline(d)
         assert err.value.stage == "closedness"
 
 
@@ -382,22 +390,27 @@ EPS_ROW_ZERO_WORDS = frozenset(
 )
 
 
+# Up to 8 words of up to 6 letters, over two pair letters and one half-silent letter per side.
+SMALL_SETS = st.frozensets(
+    st.lists(st.sampled_from(PAIR_LETTERS[:2] + (("x", EPS), (EPS, "u"))), max_size=6).map(tuple),
+    max_size=8,
+)
+
+
 class TestSpanTest:
-    """Each way learn_pipeline's closedness span test can end, with its stage tag."""
+    """Three sets and the gate each stops at: the demo set learns; a set with eps whose stray
+    shifted row lies in H_Theta's span is closed but not natural; a set without eps is refused."""
 
     @pytest.mark.parametrize(
-        "words, error, stage, eliminations",
+        "words, error, stage",
         [
-            (DEMO_WORDS, None, None, 0),  # every H_chi row is zero or an H_Theta row
-            # eps is in D, so H_Theta spans every shifted row: no elimination runs.
-            (STRAY_IN_SPAN_WORDS, NaturalityError, "naturality", 0),
-            (STRAY_OUT_OF_SPAN_WORDS, ClosednessError, "closedness", 1),
+            (DEMO_WORDS, None, None),  # every H_chi row is zero or an H_Theta row
+            (STRAY_IN_SPAN_WORDS, NaturalityError, "naturality"),  # closed, not natural
+            (STRAY_OUT_OF_SPAN_WORDS, AnalysisError, "prefix-closure"),  # no eps word
         ],
         ids=["no-stray-row", "stray-row-in-span", "stray-row-out-of-span"],
     )
-    def test_each_end_of_the_span_test(self, words, error, stage, eliminations, monkeypatch):
-        calls = []
-        monkeypatch.setattr(fstlearn.spectral, "eliminate", lambda rows: calls.append(rows) or eliminate(rows))
+    def test_each_end_of_the_span_test(self, words, error, stage):
         d = SampleSet.from_words(words)
         if error is None:
             assert len(learn_fst(d).states) == 2
@@ -405,7 +418,38 @@ class TestSpanTest:
             with pytest.raises(error) as err:
                 learn_fst(d)
             assert err.value.stage == stage
-        assert len(calls) == eliminations
+
+
+class TestPrefixClosureGate:
+    """learn_pipeline learns only from recordings that hold eps, as a prefix-closed history does."""
+
+    @given(words=SMALL_SETS, prefix_closed=st.booleans())
+    @example(words=STRAY_OUT_OF_SPAN_WORDS, prefix_closed=False)
+    @example(words=EPS_ROW_ZERO_WORDS, prefix_closed=False)
+    @example(words=frozenset({(CHI1,)}), prefix_closed=True)
+    @settings(max_examples=300, deadline=None)
+    def test_only_a_set_with_eps_is_learned_and_it_is_always_closed(self, words, prefix_closed):
+        # Without eps, learn_pipeline stops at [prefix-closure] before find_basis runs.
+        # With eps, H_Theta over the mask is square and nonsingular, so no set reaches a
+        # closedness or rank-0 failure: the only gates left are naturality and consistency.
+        if prefix_closed:
+            words = {w[:k] for w in words for k in range(len(w) + 1)}
+        without = {*words} - {()}
+        if without:
+            def fail(*args):
+                raise AssertionError("find_basis ran on a set without eps")
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fstlearn.spectral, "find_basis", fail)
+                with pytest.raises(AnalysisError) as err:
+                    learn_pipeline(SampleSet.from_words(without))
+            assert err.value.stage == "prefix-closure"
+            assert "<empty>" in err.value.message
+        try:
+            learn_pipeline(SampleSet.from_words({(), *words}))
+        except AnalysisError as exc:
+            assert not isinstance(exc, (ClosednessError, DegenerateRankError))
+            assert exc.stage in ("naturality", "consistency")
 
 
 def learn_outcome(learn, d: SampleSet) -> tuple:
@@ -420,15 +464,9 @@ def learn_outcome(learn, d: SampleSet) -> tuple:
 class TestExactAgainstFloat:
     """learn_pipeline decides rank, basis and tuple by exact row matching;
     oracles.ref_learn_pipeline is the float SVD/pinv path it replaced.
-    Both must give the same mask and machine, or the same error."""
+    On a set that holds eps both must give the same mask and machine, or the same error."""
 
-    @given(
-        words=st.frozensets(
-            st.lists(st.sampled_from(PAIR_LETTERS[:2] + (("x", EPS), (EPS, "u"))), max_size=6).map(tuple),
-            max_size=8,
-        ),
-        prefix_closed=st.booleans(),
-    )
+    @given(words=SMALL_SETS, prefix_closed=st.booleans())
     @example(words=DEMO_WORDS, prefix_closed=False)
     @example(words=RANK_DEFICIENT_WORDS, prefix_closed=False)
     @example(words=EPS_ROW_ZERO_WORDS, prefix_closed=False)
@@ -436,10 +474,17 @@ class TestExactAgainstFloat:
     @example(words=STRAY_OUT_OF_SPAN_WORDS, prefix_closed=False)
     @settings(max_examples=300, deadline=None)
     def test_same_outcome_as_the_float_path(self, words, prefix_closed):
+        # learn_pipeline refuses a nonempty set without eps; the float path is
+        # compared on the draw with eps added.
         if prefix_closed:
             words = {w[:k] for w in words for k in range(len(w) + 1)}
         d = SampleSet.from_words(words)
-        assert learn_outcome(learn_pipeline, d) == learn_outcome(ref_learn_pipeline, d)
+        if words and () not in words:
+            with pytest.raises(AnalysisError) as err:
+                learn_pipeline(d)
+            assert err.value.stage == "prefix-closure"
+        with_eps = SampleSet.from_words({(), *words})
+        assert learn_outcome(learn_pipeline, with_eps) == learn_outcome(ref_learn_pipeline, with_eps)
         for max_len in (*range(4), 7, 10**6):  # 7 and 10**6 lie past every word length
             assert find_basis(d, max_len) == ref_find_basis(d, max_len)
 
