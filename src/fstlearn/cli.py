@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from .errors import AnalysisError, FormatError, FstlearnError
 from .formats import (
@@ -266,7 +267,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # each warning, every time, as one plain line
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except FstlearnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

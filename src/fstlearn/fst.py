@@ -159,23 +159,17 @@ class SampleSet:
         try:  # the distinct letters, so that each type below is read once
             letters = set(chain.from_iterable(words))
         except TypeError:  # an unhashable letter or symbol: read every occurrence
-            letters = None
-        kinds = set(map(type, chain.from_iterable(words) if letters is None else letters))
+            letters = list(chain.from_iterable(words))
+        kinds = set(map(type, letters))
         if not kinds <= {tuple}:  # refuse a string or a scalar, else copy to tuple letters
             _refuse_types(kinds, "letter", "an (in, out) pair", str)
             words = [tuple(map(tuple, w)) for w in words]
-            letters = None
-        try:
-            words = frozenset(words)
-        except TypeError:  # an unhashable symbol, named below
-            letters = list(chain.from_iterable(words))
-        else:
-            if letters is None:
-                letters = set(chain.from_iterable(words))
+            letters = list(map(tuple, letters))
         odd = [repr(l) for l in letters if not all(isinstance(sym, str) for sym in l)]
         if odd:
             raise FormatError(f"bad letter {min(odd)}: symbols must be strings")
-        alphabet = tuple(sorted(letters))
+        words = frozenset(words)  # every symbol is a string, so every word is hashable
+        alphabet = tuple(sorted(set(letters)))
         for letter in alphabet:
             _check_letter(letter)
         object.__setattr__(self, "words", words)
@@ -367,23 +361,36 @@ def _closure(edges, nodes) -> frozenset:
     return frozenset(seen)
 
 
-def _silent_components(edges, roots, finals):
-    """Close the strongly connected components of the silent moves, once each.
+def close_silent(edges, finals) -> SimpleNamespace:
+    """A numbered graph with its silent steps closed: (initial, arcs, finals).
 
-    Yields (moving, final, members) for each component that a node in
-    roots reaches by silent (EPS, EPS) moves, successors first (Tarjan's
-    walk, with an explicit stack in place of recursion): moving holds the
-    nodes with a letter move that the members reach by silent moves,
-    members included, so a long silent chain keeps small sets, and final
-    whether any node so reached is in finals; both are built from those
-    of the components their silent moves leave to.
+    Node 0 is initial; edges[k] lists node k's (in, out, target) moves, as
+    explore gives them. Node k takes the letter moves of every node its
+    silent moves reach, itself included, and is final when any of those
+    nodes is in finals. A node with no silent move keeps its moves; any
+    other starts Tarjan's walk (an explicit stack in place of recursion)
+    unless the walk has numbered it. Each strongly connected component of
+    the silent moves is closed once, successors first, and its members
+    share one list of moves (Mohri, "Generic epsilon-removal", 2002). Its
+    (moving, final) pair holds the nodes with a letter move that the
+    members reach, so a long silent chain keeps small sets, and whether
+    any node so reached is in finals; it merges each component below
+    once. counterexample reads the result as a side and _machine builds it.
     """
+    arcs = list(edges)
+    final = set()
     number: dict[int, int] = {}
     low: dict[int, int] = {}
-    closed: dict[int, int] = {}  # node -> its component's place in comps
-    comps: list[tuple[set, bool]] = []
+    closed: dict[int, tuple[set, bool]] = {}  # node -> its component's (moving, final)
     stack = []
-    for root in roots:
+    for root, out in enumerate(edges):
+        for (i, o, _) in out:
+            if i == o == EPS:
+                break
+        else:
+            if root in finals:
+                final.add(root)
+            continue
         if root in number:
             continue
         number[root] = low[root] = len(number)
@@ -410,51 +417,23 @@ def _silent_components(edges, roots, finals):
                     members = [stack.pop()]
                     while members[-1] != v:
                         members.append(stack.pop())
-                    moving, final, below = set(), not finals.isdisjoint(members), set()
+                    moving, is_final, below = set(), not finals.isdisjoint(members), {}
                     for n in members:
                         for (i, o, t) in edges[n]:
                             if not i == o == EPS:
                                 moving.add(n)
                             elif t in closed:  # closed before, so in a component below
-                                below.add(closed[t])
-                    for c in below:
-                        moving |= comps[c][0]
-                        final = final or comps[c][1]
-                    closed.update(dict.fromkeys(members, len(comps)))
-                    comps.append((moving, final))
-                    yield moving, final, members
-
-
-def close_silent(edges, finals) -> SimpleNamespace:
-    """A numbered graph with its silent steps closed: (initial, arcs, finals).
-
-    Node 0 is initial; edges[k] lists node k's (in, out, target) moves, as
-    explore gives them. Node k takes the letter moves of every node its
-    silent moves reach, itself included, and is final when any of those
-    nodes is in finals. Each strongly connected component of the silent
-    moves is closed once, and its members share one list of moves
-    (Mohri, "Generic epsilon-removal", 2002). A node with no silent move
-    keeps its moves, and only nodes that a silent move leaves or enters
-    are walked. counterexample reads the result as a side and _machine
-    builds it.
-    """
-    arcs = list(edges)
-    final = set()
-    silent = []
-    for k, out in enumerate(edges):
-        for (i, o, _) in out:
-            if i == o == EPS:
-                silent.append(k)
-                break
-        else:
-            if k in finals:
-                final.add(k)
-    for moving, is_final, members in _silent_components(edges, silent, finals):
-        out = [m for n in moving for m in edges[n] if not m[0] == m[1] == EPS]
-        for k in members:
-            arcs[k] = out
-            if is_final:
-                final.add(k)
+                                below[id(closed[t])] = closed[t]
+                    for (moving_below, final_below) in below.values():
+                        moving |= moving_below
+                        is_final = is_final or final_below
+                    pair = (moving, is_final)
+                    out = [m for n in moving for m in edges[n] if not m[0] == m[1] == EPS]
+                    for n in members:
+                        closed[n] = pair
+                        arcs[n] = out
+                    if is_final:
+                        final.update(members)
     return SimpleNamespace(initial=0, arcs=arcs, finals=final)
 
 

@@ -13,8 +13,10 @@ sampled deterministic ground truth equals the minimal state count; it
 works on that block's distinct nonzero rows and columns only, reads D once,
 by length (SampleSet.by_length), and keeps one number per distinct suffix,
 in a plain list per prefix: no split of D is met twice.
-check_closed tests that the H_chi rows do not raise the rank of H_Theta;
-when they do, the data or the mask is too small to support learning.
+check_closed tests that the H_chi rows do not raise the rank of H_Theta.
+It belongs to the float reference only: no learner gate calls it, since
+with the empty word in D, H_Theta over find_basis's mask is square and
+nonsingular.
 Both decide rank exactly by eliminate, on Python ints, which updates only
 the rows a pivot changes; only the float matrices import numpy.
 """

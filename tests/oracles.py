@@ -26,7 +26,6 @@ from fstlearn.fst import (
     SampleSet,
     Word,
     _check_symbol,
-    _closure,
     _successors,
     explore,
     language_upto,
@@ -522,13 +521,22 @@ def ref_machine(arcs, finals) -> Fst:
     return ref_canonical(ref_trim(raw))
 
 
+def _ref_silent_reach(edges, k, seen) -> set:
+    """seen plus every node k reaches by silent moves, k included: recursive depth-first search."""
+    seen.add(k)
+    for i, o, t in edges[k]:
+        if i == o == EPS and t not in seen:
+            _ref_silent_reach(edges, t, seen)
+    return seen
+
+
 def ref_close_silent(edges, finals) -> SimpleNamespace:
     """close_silent as it was: each node with a silent move closed on its own."""
     arcs = []
     final = set()
     for k, out in enumerate(edges):
         if any(i == o == EPS for i, o, _ in out):
-            members = _closure(edges, [k])
+            members = _ref_silent_reach(edges, k, set())
             out = [m for n in members for m in edges[n] if not m[0] == m[1] == EPS]
             if not finals.isdisjoint(members):
                 final.add(k)

@@ -397,6 +397,24 @@ class TestDiagnostics:
         assert code == 1
         assert capsys.readouterr().out.startswith("NOT_EQUIVALENT witness=")
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["synth", "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER],
+            ["pipeline", "--sensor-data", SENSOR_DATA, "--actuator-data", ATTACKER_DATA, "--plant", PLANT],
+        ],
+        ids=["synth", "pipeline"],
+    )
+    def test_a_desired_language_that_is_not_prefix_closed_warns_in_one_line(self, command, tmp_path, capsys):
+        # a1:s2 is accepted but its prefix, the empty word, is not.
+        mk = tmp_path / "mk.fst"
+        mk.write_text("fst v1\ninitial 0\nfinal 1\ntrans 0 a1 s2 1\n")
+        for _ in range(2):  # every run warns, not only the first in the process
+            assert main([*command, "--mk", str(mk), "--out", str(tmp_path / "sup.fst")]) == 0
+            assert capsys.readouterr().err == (
+                "warning: desired language is not prefix-closed; the control loop assumes it is\n"
+            )
+
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["learn", "--nonsense"]) == 2
 

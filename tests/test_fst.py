@@ -7,6 +7,7 @@ import copy
 import gc
 import pickle
 import re
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -854,6 +855,14 @@ _SILENT_SIDE = Fst(
 )
 
 
+def _ring_into_ring(n: int, m: int):
+    """A silent ring of n nodes, each with one more silent move into a silent
+    ring of m nodes that each have a letter move; the last node is final."""
+    edges = [[(EPS, EPS, (k + 1) % n), (EPS, EPS, n + k % m)] for k in range(n)]
+    edges += [[(EPS, EPS, n + (j + 1) % m), (*PAIR_LETTERS[0], n + j)] for j in range(m)]
+    return edges, {n + m - 1}
+
+
 class TestSilentClosure:
     """close_silent closes each strongly connected component of the silent
     moves once; the reference closes each node on its own."""
@@ -863,6 +872,8 @@ class TestSilentClosure:
     @example(([[(EPS, EPS, 1)], [(EPS, EPS, 2), ("x", "u", 0)], [(EPS, EPS, 0)]], {2}))  # one silent cycle
     @example(([[(EPS, EPS, 0), (EPS, EPS, 1)], [(EPS, EPS, 2)], [("y", "v", 2)]], set()))  # a chain into a loop
     @example(([[(EPS, EPS, 1)], [(EPS, EPS, 2), ("y", "v", 0)], [(EPS, EPS, 3)], [("x", "u", 3)]], {0, 1, 2, 3}))  # an all-final chain
+    @example(_ring_into_ring(3, 2))  # a silent ring with many silent moves into one below
+    @example(_ring_into_ring(2, 5))
     def test_same_closure_as_node_by_node(self, graph):
         edges, finals = graph
         closed, ref = fst_module.close_silent(edges, finals), ref_close_silent(edges, finals)
@@ -871,6 +882,17 @@ class TestSilentClosure:
         made = fst_module._machine(closed.arcs, closed.finals)
         assert fst_to_text(made) == fst_to_text(fst_module._machine(ref.arcs, ref.finals))
         assert counterexample(closed, _SILENT_SIDE) == counterexample(ref, _SILENT_SIDE)
+
+    def test_a_component_below_is_merged_once_per_component(self):
+        # The upper ring has n silent moves into the lower ring's component.
+        # Merging its closure once per component takes 0.03-0.07 s at
+        # n = m = 10,000; once per edge, 0.6-1.1 s, and 3.7-5.6 s at 20,000.
+        edges, finals = _ring_into_ring(10_000, 10_000)
+        t0 = time.perf_counter()
+        closed = fst_module.close_silent(edges, finals)
+        assert time.perf_counter() - t0 < 0.5
+        assert closed.arcs[0] is closed.arcs[9_999] and len(closed.arcs[0]) == 10_000
+        assert closed.finals == set(range(20_000))
 
 
 class TestNoReferenceCycles:
