@@ -21,7 +21,7 @@ class FormatError(FstlearnError):
 
 
 class ResourceLimitError(FstlearnError):
-    """A construction exceeded the configured state, word or cell bound."""
+    """A construction exceeded fst.MAX_STATES, fst.MAX_WORDS or hankel.MAX_BLOCK_CELLS."""
 
     exit_code = 3
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
+from collections.abc import Iterator, Mapping, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -110,15 +111,15 @@ class Fst:
         return MappingProxyType({s: tuple(sorted(moves)) for s, moves in adj.items()})
 
     @classmethod
-    def _trusted(cls, states, initial, transitions, finals, **memo) -> "Fst":
-        """A machine from parts already valid, unchecked; memo prefills the trimmed index (see trim)."""
+    def _trusted(cls, states, initial, transitions, finals) -> "Fst":
+        """A machine from parts already valid, unchecked."""
         m = object.__new__(cls)
-        m.__dict__.update(states=states, initial=initial, transitions=transitions, finals=finals, **memo)
+        m.__dict__.update(states=states, initial=initial, transitions=transitions, finals=finals)
         return m
 
     def __getstate__(self):
-        # A mappingproxy cannot be pickled; the indexes are rebuilt on first use.
-        return {k: v for k, v in self.__dict__.items() if k not in ("arcs", "trimmed")}
+        # A mappingproxy cannot be pickled; the index is rebuilt on first use.
+        return {k: v for k, v in self.__dict__.items() if k != "arcs"}
 
     def letters(self) -> set[Letter]:
         """Distinct pair letters appearing on explicit transitions."""
@@ -140,8 +141,9 @@ class SampleSet:
     toolkit validates shape only, never veracity. `words` may be any iterable
     of letter sequences; each distinct letter is checked once, in sorted order.
     A word is a sequence of letters and a letter an (in, out) sequence of
-    strings; anything else raises FormatError. The length index `by_length[n]`
-    holds the words of length n, for n up to the longest; built on first use.
+    strings; anything else, a set, mapping or iterator among them, raises
+    FormatError. The length index `by_length[n]` holds the words of length
+    n, for n up to the longest; built on first use.
     """
 
     words: frozenset[Word]
@@ -154,15 +156,15 @@ class SampleSet:
             kind = type(self.words).__name__
             raise FormatError(f"bad word set of type {kind}: expected an iterable of words") from None
         words = list(words)  # the one pass over any iterable
-        _refuse_types(set(map(type, words)), "word", "a sequence of letters")
+        _refuse_types(set(map(type, words)), "word", "a sequence of letters", (Set, Mapping))
         words = list(map(tuple, words))  # a tuple is not copied
         try:  # the distinct letters, so that each type below is read once
             letters = set(chain.from_iterable(words))
         except TypeError:  # an unhashable letter or symbol: read every occurrence
             letters = list(chain.from_iterable(words))
         kinds = set(map(type, letters))
-        if not kinds <= {tuple}:  # refuse a string or a scalar, else copy to tuple letters
-            _refuse_types(kinds, "letter", "an (in, out) pair", str)
+        if not kinds <= {tuple}:  # refuse a string, an unordered or one-pass letter or a scalar
+            _refuse_types(kinds, "letter", "an (in, out) pair", (str, Set, Mapping, Iterator))
             words = [tuple(map(tuple, w)) for w in words]
             letters = list(map(tuple, letters))
         odd = [repr(l) for l in letters if not all(isinstance(sym, str) for sym in l)]
@@ -277,28 +279,20 @@ def trim(fst: Fst) -> Fst:
 
     State names are preserved, and a machine that loses no state is
     returned as it is. If the language is empty the canonical single-state
-    machine with no finals is returned. The answer is remembered as the
-    machine's trimmed index: the trimmed machine, or True for a trim one,
-    so that no machine refers to itself.
+    machine with no finals is returned.
     """
-    memo = fst.__dict__.get("trimmed")
-    if memo is not None:
-        return fst if memo is True else memo
     keep = set(_trim_order(fst.arcs, fst.states, fst.finals, fst.initial))
     if len(keep) == len(fst.states):
-        t = fst
-    elif not keep:
-        t = _machine([], ())  # the graph with no node has the empty language
-    else:
-        kept = frozenset(tr for tr in fst.transitions if tr[0] in keep and tr[3] in keep)
-        states = tuple(s for s in fst.states if s in keep)
-        t = Fst._trusted(states, fst.initial, kept, fst.finals & keep, trimmed=True)
-    fst.__dict__["trimmed"] = True if t is fst else t
-    return t
+        return fst
+    if not keep:
+        return _machine([], ())  # the graph with no node has the empty language
+    kept = frozenset(tr for tr in fst.transitions if tr[0] in keep and tr[3] in keep)
+    states = tuple(s for s in fst.states if s in keep)
+    return Fst._trusted(states, fst.initial, kept, fst.finals & keep)
 
 
 def _machine(arcs, finals) -> Fst:
-    """The trim machine of a numbered graph, built once and marked trim.
+    """The trim machine of a numbered graph, built once.
 
     arcs[k] lists node k's (in, out, target) moves, as explore gives
     them, and node 0 is initial. The nodes _trim_order keeps, given moves
@@ -309,14 +303,13 @@ def _machine(arcs, finals) -> Fst:
     arcs = [sorted(moves, key=key) if len(moves) > 1 else moves for moves in arcs]
     order = _trim_order(arcs, range(len(arcs)), finals, 0)
     if not order:
-        return Fst._trusted(("0",), "0", frozenset(), frozenset(), trimmed=True)
+        return Fst._trusted(("0",), "0", frozenset(), frozenset())
     name = {k: str(n) for n, k in enumerate(order)}
     return Fst._trusted(
         tuple(name.values()),
         "0",
         frozenset((name[k], i, o, name[t]) for k in order for (i, o, t) in arcs[k] if t in name),
         frozenset(name[k] for k in finals if k in name),
-        trimmed=True,
     )
 
 
@@ -522,11 +515,12 @@ def minimize(fst: Fst) -> Fst:
 
     Moore partition refinement straight on the subset construction of the
     trimmed machine, where a missing letter is its own signature entry; no
-    subset is dead. _machine names the class graph from class 0, which
-    every round gives the initial subset. The empty language minimizes
-    to the single-state machine with no finals.
+    subset is dead. A machine whose every state is final is walked as it
+    is (see counterexample). _machine names the class graph from class 0,
+    which every round gives the initial subset. The empty language
+    minimizes to the single-state machine with no finals.
     """
-    t = trim(fst)
+    t = fst if len(fst.finals) == len(fst.states) else trim(fst)
     order, edges = _subsets(t.arcs, [t.initial])
     cls = [1 if sub & t.finals else 0 for sub in order]
     while True:
@@ -547,14 +541,15 @@ def counterexample(a, b) -> Word | None:
     """Shortlex-least word accepted by exactly one of two machines, or None.
 
     Each side is anything with initial, arcs and finals: an Fst, which is
-    trimmed first, or a graph closed by close_silent. One BFS over
-    pairs of subsets, letters in sorted order, stopping at the first pair
-    where the sides differ; a side with no move on a letter goes to the
-    empty subset, which rejects everything. The witness follows the edge
-    that first reached each node on its way, so it does not depend on
-    which machine represents either language.
+    trimmed first unless every state is final (it then has no dead state,
+    and the walk meets no unreachable one), or a graph closed by
+    close_silent. One BFS over pairs of subsets, letters in sorted order,
+    stopping at the first pair where the sides differ; a side with no move
+    on a letter goes to the empty subset, which rejects everything. The
+    witness follows the edge that first reached each node on its way, so
+    it does not depend on which machine represents either language.
     """
-    a, b = (trim(m) if isinstance(m, Fst) else m for m in (a, b))
+    a, b = (trim(m) if isinstance(m, Fst) and len(m.finals) != len(m.states) else m for m in (a, b))
     a_arcs, b_arcs = a.arcs, b.arcs
 
     def moves(node):
@@ -613,12 +608,12 @@ def is_prefix_closed(fst: Fst) -> bool:
 
     Decided on the trimmed machine: prefix-closed iff every reachable
     subset is accepting, so the walk stops at the first one that is not.
-    No walk is needed when every state is final, since each reachable
-    subset is nonempty, nor for the empty language, which is vacuously
-    prefix closed.
+    Neither trim nor walk is needed when every state is final, since each
+    reachable subset is nonempty, nor for the empty language, which is
+    vacuously prefix closed.
     """
-    t = trim(fst)
-    if not t.finals or t.finals == frozenset(t.states):
+    t = fst if len(fst.finals) == len(fst.states) else trim(fst)
+    if not t.finals or len(t.finals) == len(t.states):
         return True
     order, edges = _subsets(t.arcs, [t.initial], stop=lambda sub: not sub & t.finals)
     return len(edges) == len(order)

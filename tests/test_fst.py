@@ -20,6 +20,7 @@ from fstlearn import (
     EPS,
     FormatError,
     Fst,
+    LoopConfig,
     ResourceLimitError,
     SampleSet,
     accepts,
@@ -171,8 +172,8 @@ class TestConstruction:
             finals=frozenset({"1"}),
         )
         assert m.arcs["0"] == (("x", "u", "1"), ("y", EPS, "0"))
-        # A builder-made machine comes with its index and its trim flag; an
-        # untrimmed one remembers its trimmed machine once trim has run.
+        # A builder-made machine and an untrimmed one that trim has read
+        # both pickle and copy with their four fields alone.
         built = compose(m, identity_fst(["u"]))
         untrimmed = Fst(m.states + ("2",), m.initial, m.transitions, m.finals)
         assert trim(untrimmed) != untrimmed
@@ -218,6 +219,37 @@ class TestSampleSet:
             SampleSet.from_words([["ab"]])
         with pytest.raises(FormatError, match="bad letter of type str"):
             SampleSet.from_words(w for w in [[("x", "u")], [("x", "u"), "ab"]])
+
+    @pytest.mark.parametrize(
+        "letter, kind",
+        [
+            (frozenset({"a1", "s2"}), "frozenset"),
+            ({"a1", "s2"}, "set"),
+            ({"a1": "s2", "s2": "a1"}, "dict"),
+            (iter(("x", "u")), "tuple_iterator"),
+        ],
+        ids=["frozenset", "set", "dict", "iterator"],
+    )
+    def test_unordered_or_one_pass_letter_rejected(self, letter, kind):
+        # A set's order depends on PYTHONHASHSEED, a dict would be read as
+        # its keys, and an iterator is spent by the first read.
+        message = f"^bad letter of type {kind}: expected an \\(in, out\\) pair$"
+        with pytest.raises(FormatError, match=message):
+            SampleSet.from_words([[("x", "u"), letter]])
+
+    @pytest.mark.parametrize(
+        "word, kind",
+        [
+            (frozenset({("x", "u"), ("y", "v")}), "frozenset"),
+            ({("x", "u"), ("y", "v")}, "set"),
+            ({("x", "u"): 0, ("y", "v"): 1}, "dict"),
+        ],
+        ids=["frozenset", "set", "dict"],
+    )
+    def test_unordered_word_rejected(self, word, kind):
+        message = f"^bad word of type {kind}: expected a sequence of letters$"
+        with pytest.raises(FormatError, match=message):
+            SampleSet.from_words([(("x", "u"),), word])
 
     def test_letter_that_is_not_iterable_rejected(self):
         with pytest.raises(FormatError, match="bad letter of type int"):
@@ -885,19 +917,19 @@ class TestSilentClosure:
 
     def test_a_component_below_is_merged_once_per_component(self):
         # The upper ring has n silent moves into the lower ring's component.
-        # Merging its closure once per component takes 0.03-0.07 s at
-        # n = m = 10,000; once per edge, 0.6-1.1 s, and 3.7-5.6 s at 20,000.
-        edges, finals = _ring_into_ring(10_000, 10_000)
+        # Merging its closure once per component takes 0.06-0.12 s at
+        # n = m = 20,000; once per edge, 3.7-5.6 s (0.6-1.1 s at 10,000).
+        edges, finals = _ring_into_ring(20_000, 20_000)
         t0 = time.perf_counter()
         closed = fst_module.close_silent(edges, finals)
         assert time.perf_counter() - t0 < 0.5
-        assert closed.arcs[0] is closed.arcs[9_999] and len(closed.arcs[0]) == 10_000
-        assert closed.finals == set(range(20_000))
+        assert closed.arcs[0] is closed.arcs[19_999] and len(closed.arcs[0]) == 20_000
+        assert closed.finals == set(range(40_000))
 
 
 class TestNoReferenceCycles:
-    """Machines are freed by reference counting alone: none refers to itself,
-    so trim's memo on a trim machine is a flag."""
+    """Machines are freed by reference counting alone: no machine, whether
+    built, trimmed or returned by trim as it is, refers to itself."""
 
     @pytest.mark.parametrize(
         "build",
@@ -916,3 +948,81 @@ class TestNoReferenceCycles:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+_INSTANCE_KEYS = {"states", "initial", "transitions", "finals", "arcs"}
+
+
+class TestNothingIsRememberedOnAMachine:
+    """A machine keeps its four fields and, once read, its transition index;
+    no operation leaves anything else on it."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda a, b: trim(a),
+            lambda a, b: compose(a, b),
+            lambda a, b: minimize(a),
+            lambda a, b: counterexample(a, b),
+            lambda a, b: is_prefix_closed(a),
+        ],
+        ids=["trim", "compose", "minimize", "counterexample", "is_prefix_closed"],
+    )
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            lambda: (_dead_end(), _ring(2)),
+            lambda: (_unreachable(), _dead_end()),
+            lambda: (_ring(3, finals={"0"}), compose(_ring(2), _all_final(2))),
+            lambda: (_all_final(2), _unreachable()),
+        ],
+        ids=["dead end", "unreachable", "built", "all final"],
+    )
+    def test_only_fields_and_index(self, run, pair):
+        a, b = pair()
+        result = run(a, b)
+        for machine in (a, b, result, trim(a), trim(b)):
+            if isinstance(machine, Fst):
+                assert vars(machine).keys() <= _INSTANCE_KEYS
+
+    def test_loop_config_leaves_only_fields_and_index(self):
+        machines = (_ring(3), compose(_ring(2), _ring(1)), _ring(1), _ring(2))
+        with pytest.raises(ValueError, match="actuator_attacker must be trim"):
+            LoopConfig(*machines[:3], _dead_end(), max_steps=3, seed=0)
+        config = LoopConfig(*machines, max_steps=3, seed=0)
+        assert config._moves
+        for machine in machines:
+            assert vars(machine).keys() <= _INSTANCE_KEYS
+
+
+def _with_unreachable(m: Fst) -> Fst:
+    """m with every state final, plus a final state "u" that no path from
+    the initial one enters, moving to every state of m on its letters."""
+    letters = sorted(m.letters()) or [PAIR_LETTERS[0]]
+    moves = {("u", i, o, s) for s in m.states for (i, o) in letters}
+    return Fst(m.states + ("u",), m.initial, m.transitions | moves, frozenset(m.states) | {"u"})
+
+
+class TestAllFinalMachinesAreWalkedAsTheyAre:
+    """counterexample, minimize and is_prefix_closed skip trim for a machine
+    whose every state is final, and answer as they do on its trim."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(machines(letters=PAIR_LETTERS[:2] + EPS_LETTERS), machines(letters=PAIR_LETTERS[:2] + EPS_LETTERS))
+    @example(_unreachable(), _dead_end())
+    def test_same_answers_as_on_the_trim(self, m, other):
+        m = _with_unreachable(m)
+        t = trim(m)
+        assert "u" in m.states and "u" not in t.states
+        assert fst_to_text(minimize(m)) == fst_to_text(minimize(t))
+        assert is_prefix_closed(m) == is_prefix_closed(t)
+        for side in (other, t, _with_unreachable(other)):
+            assert counterexample(m, side) == counterexample(t, side)
+            assert counterexample(side, m) == counterexample(side, t)
+
+    def test_no_trim_walk_for_an_all_final_machine(self, monkeypatch):
+        m = _unreachable()
+        monkeypatch.setattr(fst_module, "trim", lambda fst: pytest.fail("trimmed an all-final machine"))
+        assert is_prefix_closed(m)
+        assert counterexample(m, m) is None
+        assert minimize(m).states == ("0", "1")
