@@ -515,12 +515,11 @@ def minimize(fst: Fst) -> Fst:
 
     Moore partition refinement straight on the subset construction of the
     trimmed machine, where a missing letter is its own signature entry; no
-    subset is dead. A machine whose every state is final is walked as it
-    is (see counterexample). _machine names the class graph from class 0,
-    which every round gives the initial subset. The empty language
-    minimizes to the single-state machine with no finals.
+    subset is dead. _machine names the class graph from class 0, which
+    every round gives the initial subset. The empty language minimizes
+    to the single-state machine with no finals.
     """
-    t = fst if len(fst.finals) == len(fst.states) else trim(fst)
+    t = trim(fst)
     order, edges = _subsets(t.arcs, [t.initial])
     cls = [1 if sub & t.finals else 0 for sub in order]
     while True:
@@ -541,15 +540,14 @@ def counterexample(a, b) -> Word | None:
     """Shortlex-least word accepted by exactly one of two machines, or None.
 
     Each side is anything with initial, arcs and finals: an Fst, which is
-    trimmed first unless every state is final (it then has no dead state,
-    and the walk meets no unreachable one), or a graph closed by
-    close_silent. One BFS over pairs of subsets, letters in sorted order,
-    stopping at the first pair where the sides differ; a side with no move
-    on a letter goes to the empty subset, which rejects everything. The
-    witness follows the edge that first reached each node on its way, so
-    it does not depend on which machine represents either language.
+    trimmed first, or a graph closed by close_silent. One BFS over
+    pairs of subsets, letters in sorted order, stopping at the first pair
+    where the sides differ; a side with no move on a letter goes to the
+    empty subset, which rejects everything. The witness follows the edge
+    that first reached each node on its way, so it does not depend on
+    which machine represents either language.
     """
-    a, b = (trim(m) if isinstance(m, Fst) and len(m.finals) != len(m.states) else m for m in (a, b))
+    a, b = (trim(m) if isinstance(m, Fst) else m for m in (a, b))
     a_arcs, b_arcs = a.arcs, b.arcs
 
     def moves(node):
@@ -608,11 +606,11 @@ def is_prefix_closed(fst: Fst) -> bool:
 
     Decided on the trimmed machine: prefix-closed iff every reachable
     subset is accepting, so the walk stops at the first one that is not.
-    Neither trim nor walk is needed when every state is final, since each
-    reachable subset is nonempty, nor for the empty language, which is
-    vacuously prefix closed.
+    No walk is needed when every state is final, since each reachable
+    subset is nonempty, nor for the empty language, which is vacuously
+    prefix closed.
     """
-    t = fst if len(fst.finals) == len(fst.states) else trim(fst)
+    t = trim(fst)
     if not t.finals or len(t.finals) == len(t.states):
         return True
     order, edges = _subsets(t.arcs, [t.initial], stop=lambda sub: not sub & t.finals)

@@ -366,6 +366,10 @@ class TestTrim:
         t = trim(m)
         assert len(t.states) == 1 and not t.finals and not t.transitions
 
+    def test_unreachable_and_dead_states_dropped(self):
+        assert trim(_unreachable()).states == ("0", "1")
+        assert trim(_dead_end()).states == ("0", "1")
+
 
 class TestCompose:
     @settings(deadline=None, max_examples=40)
@@ -735,28 +739,46 @@ class TestStateBound:
         assert not is_prefix_closed(_ring(5, {"0"}))
 
 
+def _dead_end() -> Fst:
+    """A machine with a state that reaches no final one, so trim drops it."""
+    return Fst(("0", "1", "2"), "0", frozenset({("0", "x", "u", "1"), ("0", "y", "v", "2")}), frozenset({"1"}))
+
+
+def _unreachable() -> Fst:
+    """A machine with a final state that no path from the initial one enters."""
+    return Fst(("0", "1", "2"), "0", frozenset({("0", "x", "u", "1"), ("2", "y", "v", "1")}), frozenset({"0", "1", "2"}))
+
+
 class TestAgainstDeterminizedTables:
     """The on-the-fly subset walks give the outputs of a full determinized table."""
 
     @settings(deadline=None, max_examples=100)
     @given(machines(max_states=5, letters=PAIR_LETTERS + EPS_LETTERS))
+    @example(_unreachable())
     def test_minimize_text(self, m):
-        small = minimize(m)
-        assert fst_to_text(small) == fst_to_text(ref_minimize(m))
-        assert_built_as_checked(small)
+        closed = Fst(m.states, m.initial, m.transitions, frozenset(m.states))
+        for machine in (m, closed):
+            small = minimize(machine)
+            assert fst_to_text(small) == fst_to_text(ref_minimize(machine))
+            assert_built_as_checked(small)
 
     @settings(deadline=None, max_examples=100)
     @given(
         machines(max_states=4, letters=PAIR_LETTERS[:2] + EPS_LETTERS),
         machines(max_states=4, letters=PAIR_LETTERS[:2] + EPS_LETTERS),
     )
+    @example(_unreachable(), _dead_end())
     def test_counterexample_witness(self, a, b):
         assert counterexample(a, b) == ref_counterexample(a, b)
         both = intersect(a, b)
         assert counterexample(both, a) == ref_counterexample(both, a)
+        closed = Fst(a.states, a.initial, a.transitions, frozenset(a.states))
+        assert counterexample(closed, b) == ref_counterexample(closed, b)
+        assert counterexample(b, closed) == ref_counterexample(b, closed)
 
     @settings(deadline=None, max_examples=100)
     @given(machines(max_states=5, letters=PAIR_LETTERS + EPS_LETTERS))
+    @example(_unreachable())
     def test_prefix_closed_verdict(self, m):
         assert is_prefix_closed(m) == ref_is_prefix_closed(m)
         # Random finals rarely give a closed language; all-final machines always do.
@@ -798,16 +820,6 @@ def _on_the_reference_path(build, *args):
         mp.setattr(fst_module, "_machine", lambda arcs, finals: (ref_machine if arcs else machine)(arcs, finals))
         mp.setattr(fst_module, "close_silent", ref_close_silent)
         return build(*args)
-
-
-def _dead_end() -> Fst:
-    """A machine with a state that reaches no final one, so trim drops it."""
-    return Fst(("0", "1", "2"), "0", frozenset({("0", "x", "u", "1"), ("0", "y", "v", "2")}), frozenset({"1"}))
-
-
-def _unreachable() -> Fst:
-    """A machine with a final state that no path from the initial one enters."""
-    return Fst(("0", "1", "2"), "0", frozenset({("0", "x", "u", "1"), ("2", "y", "v", "1")}), frozenset({"0", "1", "2"}))
 
 
 def _all_final(n: int) -> Fst:
@@ -993,36 +1005,3 @@ class TestNothingIsRememberedOnAMachine:
         assert config._moves
         for machine in machines:
             assert vars(machine).keys() <= _INSTANCE_KEYS
-
-
-def _with_unreachable(m: Fst) -> Fst:
-    """m with every state final, plus a final state "u" that no path from
-    the initial one enters, moving to every state of m on its letters."""
-    letters = sorted(m.letters()) or [PAIR_LETTERS[0]]
-    moves = {("u", i, o, s) for s in m.states for (i, o) in letters}
-    return Fst(m.states + ("u",), m.initial, m.transitions | moves, frozenset(m.states) | {"u"})
-
-
-class TestAllFinalMachinesAreWalkedAsTheyAre:
-    """counterexample, minimize and is_prefix_closed skip trim for a machine
-    whose every state is final, and answer as they do on its trim."""
-
-    @settings(deadline=None, max_examples=100)
-    @given(machines(letters=PAIR_LETTERS[:2] + EPS_LETTERS), machines(letters=PAIR_LETTERS[:2] + EPS_LETTERS))
-    @example(_unreachable(), _dead_end())
-    def test_same_answers_as_on_the_trim(self, m, other):
-        m = _with_unreachable(m)
-        t = trim(m)
-        assert "u" in m.states and "u" not in t.states
-        assert fst_to_text(minimize(m)) == fst_to_text(minimize(t))
-        assert is_prefix_closed(m) == is_prefix_closed(t)
-        for side in (other, t, _with_unreachable(other)):
-            assert counterexample(m, side) == counterexample(t, side)
-            assert counterexample(side, m) == counterexample(side, t)
-
-    def test_no_trim_walk_for_an_all_final_machine(self, monkeypatch):
-        m = _unreachable()
-        monkeypatch.setattr(fst_module, "trim", lambda fst: pytest.fail("trimmed an all-final machine"))
-        assert is_prefix_closed(m)
-        assert counterexample(m, m) is None
-        assert minimize(m).states == ("0", "1")
