@@ -197,16 +197,22 @@ def _count(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # Flag groups, each attached only to the subcommands that use it.
+    # Flag groups, each declared once and attached only to the subcommands that use it.
     learning = argparse.ArgumentParser(add_help=False)
     learning.add_argument(
         "--dump-intermediates", metavar="DIR", default=None, help="write intermediate matrices here"
     )
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="random seed")
-    loop = argparse.ArgumentParser(add_help=False)
-    for flag in ("--plant", "--supervisor", "--sensor-attacker", "--actuator-attacker"):
-        loop.add_argument(flag, required=True)
+    mk = argparse.ArgumentParser(add_help=False)
+    mk.add_argument("--mk", required=True, help="desired-language FST file or pattern")
+    plant = argparse.ArgumentParser(add_help=False)
+    plant.add_argument("--plant", required=True)
+    attackers = argparse.ArgumentParser(add_help=False)
+    for flag in ("--sensor-attacker", "--actuator-attacker"):
+        attackers.add_argument(flag, required=True)
+    loop = argparse.ArgumentParser(add_help=False, parents=[plant])
+    loop.add_argument("--supervisor", required=True)
 
     parser = argparse.ArgumentParser(prog="fstlearn", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -216,18 +222,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output FST file")
     p.set_defaults(func=_cmd_learn)
 
-    p = sub.add_parser("synth", help="synthesize a candidate supervisor")
-    p.add_argument("--mk", required=True, help="desired-language FST file or pattern")
-    p.add_argument("--sensor-attacker", required=True)
-    p.add_argument("--actuator-attacker", required=True)
+    p = sub.add_parser("synth", parents=[mk, attackers], help="synthesize a candidate supervisor")
     p.add_argument("--out", required=True, help="output supervisor FST file")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("verify", parents=[loop], help="check a supervisor for resilience")
-    p.add_argument("--mk", required=True, help="desired-language FST file or pattern")
+    p = sub.add_parser("verify", parents=[loop, attackers, mk], help="check a supervisor for resilience")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("simulate", parents=[seeded, loop], help="run the clocked control loop")
+    p = sub.add_parser("simulate", parents=[seeded, loop, attackers], help="run the clocked control loop")
     p.add_argument("--steps", type=_count, default=20)
     p.add_argument("--trace-out", default=None, help="trace file (default stdout)")
     p.set_defaults(func=_cmd_simulate)
@@ -249,11 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("pipeline", parents=[learning], help="learn both attackers, synthesize, verify")
+    p = sub.add_parser("pipeline", parents=[learning, plant, mk], help="learn both attackers, synthesize, verify")
     p.add_argument("--sensor-data", required=True)
     p.add_argument("--actuator-data", required=True)
-    p.add_argument("--plant", required=True)
-    p.add_argument("--mk", required=True, help="desired-language FST file or pattern")
     p.add_argument("--out", default=None, help="also write the supervisor FST here")
     p.set_defaults(func=_cmd_pipeline)
 

@@ -451,6 +451,23 @@ def compose_steps(a_arcs, b_arcs, p, q):
             yield EPS, o, (p, q2)
 
 
+def _product(a: Fst, b: Fst, steps, what: str) -> Fst:
+    """The trim machine of the pair walk from (a.initial, b.initial), its silent moves closed.
+
+    steps(a's moves of p, b's moves of q, p, q) yields the pair (p, q)'s (in, out, (p2, q2))
+    moves, (EPS, EPS) for a silent one. A pair is final when both of its states are.
+    """
+    a_arcs, b_arcs = a.arcs, b.arcs
+
+    def moves(node):
+        p, q = node
+        return steps(a_arcs[p], b_arcs[q], p, q)
+
+    order, edges = explore((a.initial, b.initial), moves, what)
+    closed = close_silent(edges, {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals})
+    return _machine(closed.arcs, closed.finals)
+
+
 def compose(a: Fst, b: Fst) -> Fst:
     """Pipeline composition: a's output feeds b's input.
 
@@ -460,35 +477,21 @@ def compose(a: Fst, b: Fst) -> Fst:
     a symbol that b deletes, the product step is silent (eps, eps); such
     steps are removed by closure so the result never stores them.
     """
-
-    a_arcs, b_arcs = a.arcs, b.arcs
-
-    def moves(node):
-        p, q = node
-        return compose_steps(a_arcs[p], b_arcs[q], p, q)
-
-    order, edges = explore((a.initial, b.initial), moves, "composition")
-    finals = {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals}
-    closed = close_silent(edges, finals)
-    return _machine(closed.arcs, closed.finals)
+    return _product(a, b, compose_steps, "composition")
 
 
 def intersect(a: Fst, b: Fst) -> Fst:
-    """Product acceptor over identical pair letters; L = L(a) and L(b), with no silent move to close."""
+    """Product acceptor over identical pair letters; L = L(a) and L(b). It has no silent move to close."""
 
-    a_arcs, b_arcs = a.arcs, b.arcs
-
-    def moves(node):
-        p, q = node
+    def steps(a_arcs, b_arcs, p, q):  # a move of each on one letter, by a table of q's moves
         moves_b: dict[Letter, list[str]] = {}
-        for (i, o, q2) in b_arcs[q]:
+        for (i, o, q2) in b_arcs:
             moves_b.setdefault((i, o), []).append(q2)
-        for (i, o, p2) in a_arcs[p]:
+        for (i, o, p2) in a_arcs:
             for q2 in moves_b.get((i, o), ()):
                 yield i, o, (p2, q2)
 
-    order, edges = explore((a.initial, b.initial), moves, "intersection")
-    return _machine(edges, {k for k, (p, q) in enumerate(order) if p in a.finals and q in b.finals})
+    return _product(a, b, steps, "intersection")
 
 
 def _subsets(arcs, start, stop=None, close=frozenset):

@@ -59,22 +59,21 @@ class Mask:
 
 @dataclass(frozen=True, eq=False)
 class HankelSet:
-    """H_Theta plus one H_chi per observed letter, all over one mask."""
+    """H_Theta plus one H_chi per observed letter, all over one mask; alphabet is h_chi's letters, in order."""
 
     mask: Mask
     h_theta: np.ndarray
     h_chi: dict[Letter, np.ndarray]
-    alphabet: tuple[Letter, ...]
 
     def __post_init__(self) -> None:
         shape = (len(self.mask.prefixes), len(self.mask.suffixes))
-        if set(self.h_chi) != set(self.alphabet):
-            raise ValueError("h_chi keys must match the alphabet")
         for mat in (self.h_theta, *self.h_chi.values()):
             if mat.shape != shape:
                 raise ValueError(f"matrix shape {mat.shape} does not match mask {shape}")
             if not {*mat.flat} <= {0.0, 1.0}:
                 raise ValueError("Hankel entries must be 0 or 1")
+
+    alphabet = property(lambda self: tuple(self.h_chi))
 
 
 def block_rows(d: SampleSet, m: Mask, middle: Word) -> list[tuple[int, ...]]:
@@ -100,7 +99,6 @@ def build_hankel_set(d: SampleSet, m: Mask) -> HankelSet:
         mask=m,
         h_theta=build_h_theta(d, m),
         h_chi={chi: build_h_chi(d, m, chi) for chi in d.alphabet},
-        alphabet=d.alphabet,
     )
 
 

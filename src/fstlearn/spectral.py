@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import AnalysisError, DegenerateRankError, NaturalityError
 from .formats import letter_to_text
-from .fst import Fst, Letter, SampleSet, Word, trim
+from .fst import EMPTY_TOKEN, Fst, Letter, SampleSet, Word, trim
 from .hankel import (
     TOL_BINARY,
     HankelSet,
@@ -87,7 +87,7 @@ class Decomposition:
 
 @dataclass(frozen=True, eq=False)
 class TransitionTuple:
-    """Matrix realization (t0, t_inf, {T_chi}) of a word function.
+    """Matrix realization (t0, t_inf, {T_chi}) of a word function on r = len(t0) states.
 
     eval_tuple multiplies t0 through the letter matrices into t_inf; a
     natural tuple additionally has basis-vector rows and binary t_inf,
@@ -97,14 +97,15 @@ class TransitionTuple:
     t0: np.ndarray
     t_inf: np.ndarray
     trans: dict[Letter, np.ndarray]
-    r: int
 
     def __post_init__(self) -> None:
-        if self.t0.shape != (self.r,) or self.t_inf.shape != (self.r,):
+        if self.t0.ndim != 1 or self.t_inf.shape != self.t0.shape:
             raise ValueError("boundary vectors must have length r")
         for chi, mat in self.trans.items():
             if mat.shape != (self.r, self.r):
                 raise ValueError(f"transition matrix for {chi!r} must be r x r")
+
+    r = property(lambda self: len(self.t0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +178,6 @@ def extract_tuple(hz: HankelSet, d: Decomposition) -> TransitionTuple:
         t0=d.p[0, :].copy(),
         t_inf=d.s[:, 0].copy(),
         trans={chi: d.p_pinv @ hc @ d.s_pinv for chi, hc in hz.h_chi.items()},
-        r=d.r,
     )
 
 
@@ -245,7 +245,7 @@ def learn_pipeline(d: SampleSet) -> LearnResult:
     if () not in d.words:
         raise AnalysisError(
             "prefix-closure",
-            "the recordings lack the empty word <empty>; recordings must be prefix-closed",
+            f"the recordings lack the empty word {EMPTY_TOKEN}; recordings must be prefix-closed",
         )
     mask = find_basis(d, max_len)
     theta = block_rows(d, mask, ())

@@ -46,13 +46,12 @@ from .fst import (
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """A candidate supervisor and the shortlex-least word its attacked loop and M_K disagree on, or None."""
+
     supervisor: Fst
-    resilient: bool
     witness: Word | None
 
-    def __post_init__(self) -> None:
-        if self.resilient != (self.witness is None):
-            raise ValueError("resilient verdict must match witness absence")
+    resilient = property(lambda self: self.witness is None)
 
 
 def synthesize(m_k: Fst, a_s: Fst, a_a: Fst) -> Fst:
@@ -106,7 +105,7 @@ def verify_resilient(p: Fst, s: Fst, a_s: Fst, a_a: Fst, m_k: Fst) -> SynthesisR
         if x in a_s.finals and y in s.finals and z in a_a.finals and w in p.finals
     }
     witness = counterexample(close_silent(edges, finals), m_k)
-    return SynthesisResult(supervisor=s, resilient=witness is None, witness=witness)
+    return SynthesisResult(supervisor=s, witness=witness)
 
 
 # Pattern syntax for desired languages: a sequence of letters `(in:out)`

@@ -673,7 +673,7 @@ def ref_verify_resilient(p: Fst, s: Fst, a_s: Fst, a_a: Fst, m_k: Fst) -> Synthe
     """
     lang = supervised_language(p, s, a_s, a_a)
     witness = counterexample(lang, m_k)
-    return SynthesisResult(supervisor=s, resilient=witness is None, witness=witness)
+    return SynthesisResult(supervisor=s, witness=witness)
 
 
 def _ref_relay(machine: Fst, state: str, symbol: str, rng: random.Random) -> tuple[str, str]:

@@ -2,21 +2,29 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import time
 from itertools import product
 from pathlib import Path
 
 import numpy
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fstlearn
 import fstlearn.hankel
 from fstlearn import (
     Fst, SampleSet, invert, learn_pipeline, load_dataset, load_fst, save_dataset, save_fst, word_to_text,
 )
-from fstlearn.cli import main
+from fstlearn.cli import _build_parser, main
 from fstlearn.formats import letter_to_text
 from fstlearn.fst import MAX_STATES
 from fstlearn.hankel import block_rows, default_mask_len, find_basis
@@ -683,3 +691,136 @@ class TestNumpyLoadsOnlyToLearn:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestFlags:
+    def test_each_subcommand_takes_the_flags_of_its_readme_row(self):
+        # README's subcommand table names every flag of a row in backticks.
+        readme = (DEMO.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| subcommand | flags (default) |\n| --- | --- |\n")[1].split("\n\n")[0]
+        rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M))
+        subparsers = _subparsers()
+        assert sorted(rows) == sorted(subparsers)
+        for name, parser in subparsers.items():
+            flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+            assert flags == set(re.findall(r"`(--[\w-]+)", rows[name])), name
+        assert [a.dest for a in subparsers["equiv"]._actions if not a.option_strings] == ["left", "right"]
+
+
+# Near-valid inputs for the CLI fuzz: small machines and datasets over a few
+# symbols, a token now and then replaced by a reserved or malformed one.
+FUZZ_STATES = ("0", "1", "2", "3")
+FUZZ_SYMBOLS = ("a", "b", "x", "u", "<eps>")
+FUZZ_ARC_LETTERS = tuple((i, o) for i in FUZZ_SYMBOLS for o in FUZZ_SYMBOLS if (i, o) != ("<eps>", "<eps>"))
+FUZZ_LETTERS = ("a:x", "a:u", "b:x", "b:<eps>", "<eps>:u", "x:x")
+FUZZ_MUTANTS = ("<empty>", "<eps>", "<eps>:<eps>", "a:b:c", "a", "#", "(", "fst", "v2", "final", "9", "\ufeff")
+FUZZ_PATTERN_ITEMS = ("(a:x)", "(b:u)*", "(x:<eps>)", "((a:x)(b:u))*", "(<eps>:u)")
+FUZZ_PATTERN_MUTANTS = ("(", ")", "*", "(<eps>:<eps>)", "(a)", "x:u")
+
+
+def _fuzz_text(draw, lines: list[list[str]]) -> str:
+    if draw(st.integers(0, 9)) == 0:  # one token in ten texts is a mutant
+        line = draw(st.sampled_from(lines))
+        line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from(FUZZ_MUTANTS))
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@st.composite
+def fuzz_machine(draw) -> str:
+    n = draw(st.integers(1, 4))
+    state, letter = st.sampled_from(FUZZ_STATES[:n]), st.sampled_from(FUZZ_ARC_LETTERS)
+    arcs = [(draw(state), *draw(letter), draw(state)) for _ in range(draw(st.integers(0, 6)))]
+    if draw(st.booleans()):  # a trim machine: a path through every state, all final
+        arcs[: n - 1] = [(str(k), *draw(letter), str(k + 1)) for k in range(n - 1)]
+        finals = list(FUZZ_STATES[:n])
+    else:
+        finals = draw(st.lists(state, max_size=4))
+    lines = [["fst", "v1"], ["initial", "0"], ["final", *finals], *(["trans", *arc] for arc in arcs)]
+    return _fuzz_text(draw, lines)
+
+
+@st.composite
+def fuzz_dataset(draw) -> str:
+    words = draw(st.lists(st.lists(st.sampled_from(FUZZ_LETTERS), min_size=1, max_size=5), max_size=12))
+    if draw(st.booleans()):
+        words = [w[:k] for w in words for k in range(1, len(w) + 1)]
+    return _fuzz_text(draw, [["<empty>"], *words])
+
+
+@st.composite
+def fuzz_call(draw) -> tuple[list[str], dict[str, str]]:
+    """argv for one subcommand, its paths under "@/", and the text of each file it reads."""
+    command = draw(st.sampled_from(sorted(_subparsers())))
+    argv, files = [command], {}
+
+    def read(flag, name, text):
+        files[name] = draw(text)
+        argv.extend([flag, f"@/{name}"] if flag else [f"@/{name}"])
+
+    def write(flag, name, optional=False):
+        if not optional or draw(st.booleans()):
+            argv.extend([flag, f"@/{name}"])
+
+    if command in ("learn", "hankel"):
+        read("--data", "data.txt", fuzz_dataset())
+    if command == "pipeline":
+        read("--sensor-data", "sensor.txt", fuzz_dataset())
+        read("--actuator-data", "actuator.txt", fuzz_dataset())
+    if command in ("verify", "simulate", "pipeline"):
+        read("--plant", "plant.fst", fuzz_machine())
+    if command in ("verify", "simulate"):
+        read("--supervisor", "supervisor.fst", fuzz_machine())
+    if command in ("synth", "verify", "simulate"):
+        read("--sensor-attacker", "sensor.fst", fuzz_machine())
+        read("--actuator-attacker", "actuator.fst", fuzz_machine())
+    if command in ("synth", "verify", "pipeline"):
+        if draw(st.booleans()):
+            items = draw(st.lists(st.sampled_from(FUZZ_PATTERN_ITEMS), min_size=1, max_size=6))
+            if draw(st.integers(0, 9)) == 0:
+                items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from(FUZZ_PATTERN_MUTANTS)))
+            argv.extend(["--mk", "".join(items)])
+        else:
+            read("--mk", "mk.fst", fuzz_machine())
+    if command == "equiv":
+        read(None, "left.fst", fuzz_machine())
+        read(None, "right.fst", fuzz_machine())
+    if command == "sample":
+        read("--attacker", "attacker.fst", fuzz_machine())
+        argv += ["--mode", draw(st.sampled_from(("random", "exhaustive"))), "--n", str(draw(st.integers(0, 20))),
+                 "--max-len", str(draw(st.integers(0, 6)))]
+    if command in ("simulate", "sample"):
+        argv += ["--seed", str(draw(st.integers(0, 9)))]
+    if command == "simulate":
+        argv += ["--steps", str(draw(st.integers(0, 30)))]
+        write("--trace-out", "trace.txt", optional=True)
+    if command in ("learn", "synth", "sample"):
+        write("--out", "out.txt")
+    if command == "pipeline":
+        write("--out", "out.fst", optional=True)
+    if command in ("learn", "pipeline"):
+        write("--dump-intermediates", "dump", optional=True)
+    return argv, files
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(call=fuzz_call())
+    def test_a_near_valid_call_ends_in_a_documented_exit_code(self, call):
+        # Each call runs in a directory of its own; its bounds (at most 30 steps, words of at
+        # most 6 letters, machines of at most 4 states) keep every command far inside 2 s.
+        argv, files = call
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                Path(tmp, name).write_text(text, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([a.replace("@/", tmp + os.sep) for a in argv])
+            took = time.perf_counter() - start
+        assert code in (0, 1, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert took < 2.0, argv

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import tracemalloc
 from itertools import chain, product
@@ -131,23 +132,22 @@ class TestBuilders:
                 mask=GOLDEN_MASK,
                 h_theta=np.zeros((2, 2)),
                 h_chi={c: np.zeros((3, 4)) for c in (CHI1, CHI2, CHI3)},
-                alphabet=(CHI1, CHI2, CHI3),
             )
 
     def test_hankel_set_rejects_non_binary_entries(self):
         m = Mask(prefixes=((),), suffixes=((),))
         with pytest.raises(ValueError):
-            HankelSet(mask=m, h_theta=np.array([[0.5]]), h_chi={}, alphabet=())
+            HankelSet(mask=m, h_theta=np.array([[0.5]]), h_chi={})
 
-    def test_hankel_set_rejects_alphabet_mismatch(self):
+    def test_hankel_set_alphabet_is_read_off_h_chi(self, demo_dataset):
+        hz = build_hankel_set(demo_dataset, GOLDEN_MASK)
+        assert [f.name for f in dataclasses.fields(hz)] == ["mask", "h_theta", "h_chi"]
+        assert hz.alphabet == tuple(hz.h_chi) == demo_dataset.alphabet
+        with pytest.raises(AttributeError):
+            hz.alphabet = ()
         m = Mask(prefixes=((),), suffixes=((),))
-        with pytest.raises(ValueError):
-            HankelSet(
-                mask=m,
-                h_theta=np.ones((1, 1)),
-                h_chi={CHI1: np.ones((1, 1))},
-                alphabet=(CHI2,),
-            )
+        with pytest.raises(TypeError):
+            HankelSet(mask=m, h_theta=np.ones((1, 1)), h_chi={CHI1: np.ones((1, 1))}, alphabet=(CHI2,))
 
     @given(words=words_strategy())
     def test_builder_matches_split_enumeration_oracle(self, words):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import product
 from pathlib import Path
 
@@ -87,7 +88,7 @@ def natural_tuple_of(machine):
     trans = {}
     for (src, i, o, dst) in machine.transitions:
         trans.setdefault((i, o), np.zeros((r, r)))[idx[src], idx[dst]] = 1.0
-    return TransitionTuple(t0=t0, t_inf=t_inf, trans=trans, r=r)
+    return TransitionTuple(t0=t0, t_inf=t_inf, trans=trans)
 
 
 class TestFullRankDecompose:
@@ -206,7 +207,6 @@ class TestIsNatural:
             t0=np.array([1.0, 0.0]),
             t_inf=np.array([1.0, 1.0]),
             trans={CHI1: np.array([[0.5, 0.5], [0.0, 0.0]])},
-            r=2,
         )
         assert not is_natural(tup)
 
@@ -215,7 +215,6 @@ class TestIsNatural:
             t0=np.array([1.0, 1.0]),
             t_inf=np.array([1.0, 0.0]),
             trans={},
-            r=2,
         )
         assert not is_natural(tup)
 
@@ -224,7 +223,6 @@ class TestIsNatural:
             t0=np.array([0.0, 1.0]),
             t_inf=np.array([0.0, 0.0]),
             trans={CHI1: np.zeros((2, 2))},
-            r=2,
         )
         assert is_natural(tup)
 
@@ -234,15 +232,27 @@ class TestIsNatural:
                 t0=np.array([1.0]),
                 t_inf=np.array([1.0, 0.0]),
                 trans={},
-                r=2,
             )
         with pytest.raises(ValueError):
             TransitionTuple(
                 t0=np.array([1.0, 0.0]),
                 t_inf=np.array([1.0, 0.0]),
                 trans={CHI1: np.zeros((1, 2))},
-                r=2,
             )
+        with pytest.raises(ValueError, match="^boundary vectors must have length r$"):
+            TransitionTuple(t0=np.ones((1, 1)), t_inf=np.ones((1, 1)), trans={})
+
+    def test_r_is_read_off_t0(self, demo_dataset):
+        tup = TransitionTuple(t0=np.array([1.0, 0.0]), t_inf=np.array([1.0, 1.0]), trans={})
+        assert [f.name for f in dataclasses.fields(tup)] == ["t0", "t_inf", "trans"]
+        assert tup.r == 2
+        with pytest.raises(AttributeError):
+            tup.r = 3
+        with pytest.raises(TypeError):
+            TransitionTuple(t0=np.array([1.0]), t_inf=np.array([1.0]), trans={}, r=1)
+        hz = golden_hankel_set(demo_dataset)
+        nat, _ = naturalize(full_rank_decompose(hz.h_theta))
+        assert extract_tuple(hz, nat).r == nat.r == 2
 
 
 class TestEvalTuple:
@@ -285,7 +295,6 @@ class TestTupleToFst:
             t0=np.array([0.5, 0.5]),
             t_inf=np.array([1.0, 1.0]),
             trans={},
-            r=2,
         )
         with pytest.raises(NaturalityError):
             tuple_to_fst(tup)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import time
 from itertools import product
@@ -213,10 +214,15 @@ class TestVerifyResilient:
             verify_resilient(PLANT, GOLDEN, SENSOR, ATTACKER, MK)
 
     def test_result_invariant_enforced(self, golden_supervisor):
-        with pytest.raises(ValueError):
+        # The verdict is read off the witness, so no record can state both and disagree.
+        assert [f.name for f in dataclasses.fields(SynthesisResult)] == ["supervisor", "witness"]
+        assert SynthesisResult(supervisor=golden_supervisor, witness=None).resilient
+        failed = SynthesisResult(supervisor=golden_supervisor, witness=(A1S2,))
+        assert not failed.resilient
+        with pytest.raises(AttributeError):
+            failed.resilient = True
+        with pytest.raises(TypeError):
             SynthesisResult(supervisor=golden_supervisor, resilient=True, witness=(A1S2,))
-        with pytest.raises(ValueError):
-            SynthesisResult(supervisor=golden_supervisor, resilient=False, witness=None)
 
 
 # Every letter over two symbols and eps but the stay letter, so that
