@@ -61,8 +61,19 @@ def _check_letter(letter) -> None:
         _check_symbol(sym)
 
 
+def _alphabet(letters) -> tuple[Letter, ...]:
+    """The distinct letters, sorted and checked; a symbol that is not a string is refused first."""
+    odd = [repr(l) for l in letters if not all(isinstance(sym, str) for sym in l)]
+    if odd:  # the least by repr, so that the letter named does not depend on hash order
+        raise FormatError(f"bad letter {min(odd)}: symbols must be strings")
+    alphabet = tuple(sorted(set(letters)))
+    for letter in alphabet:
+        _check_letter(letter)
+    return alphabet
+
+
 def _check_state(name: str) -> None:
-    if not _STATE.fullmatch(name) or name in _RESERVED:
+    if not isinstance(name, str) or not _STATE.fullmatch(name) or name in _RESERVED:
         raise FormatError(f"bad state name {name!r}")
 
 
@@ -96,8 +107,7 @@ class Fst:
         for (s, i, o, d) in trans:
             if s not in known or d not in known:
                 raise FormatError(f"transition ({s},{i},{o},{d}) references unknown state")
-        for letter in sorted({(i, o) for (_, i, o, _) in trans}):
-            _check_letter(letter)
+        _alphabet({(i, o) for (_, i, o, _) in trans})
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", trans)
         object.__setattr__(self, "finals", finals)
@@ -167,14 +177,8 @@ class SampleSet:
             _refuse_types(kinds, "letter", "an (in, out) pair", (str, Set, Mapping, Iterator))
             words = [tuple(map(tuple, w)) for w in words]
             letters = list(map(tuple, letters))
-        odd = [repr(l) for l in letters if not all(isinstance(sym, str) for sym in l)]
-        if odd:
-            raise FormatError(f"bad letter {min(odd)}: symbols must be strings")
-        words = frozenset(words)  # every symbol is a string, so every word is hashable
-        alphabet = tuple(sorted(set(letters)))
-        for letter in alphabet:
-            _check_letter(letter)
-        object.__setattr__(self, "words", words)
+        alphabet = _alphabet(letters)
+        object.__setattr__(self, "words", frozenset(words))  # every symbol is a string, so every word is hashable
         object.__setattr__(self, "alphabet", alphabet)
 
     @cached_property
@@ -513,18 +517,11 @@ def _subsets(arcs, start, stop=None, close=frozenset):
     return explore(close(start), moves, "determinization", stop)
 
 
-def minimize(fst: Fst) -> Fst:
-    """Minimal deterministic pair-alphabet acceptor for L(fst).
-
-    Moore partition refinement straight on the subset construction of the
-    trimmed machine, where a missing letter is its own signature entry; no
-    subset is dead. _machine names the class graph from class 0, which
-    every round gives the initial subset. The empty language minimizes
-    to the single-state machine with no finals.
-    """
-    t = trim(fst)
-    order, edges = _subsets(t.arcs, [t.initial])
-    cls = [1 if sub & t.finals else 0 for sub in order]
+def _refine(order, edges, finals) -> Fst:
+    """The minimal machine of a subset walk from _subsets with no dead subset, by Moore refinement:
+    a subset is final when it meets finals, and a missing letter is its own signature entry.
+    _machine names the class graph from class 0, which every round gives the initial subset."""
+    cls = [1 if sub & finals else 0 for sub in order]
     while True:
         sig: dict[tuple, int] = {}
         new = [
@@ -536,7 +533,14 @@ def minimize(fst: Fst) -> Fst:
         cls = new
     member = {c: k for k, c in enumerate(cls)}  # the subsets of a class share their moves
     arcs = [[(i, o, cls[d]) for i, o, d in edges[member[c]]] for c in range(len(member))]
-    return _machine(arcs, {c for c, sub in zip(cls, order) if sub & t.finals})
+    return _machine(arcs, {c for c, sub in zip(cls, order) if sub & finals})
+
+
+def minimize(fst: Fst) -> Fst:
+    """Minimal deterministic pair-alphabet acceptor for L(fst): the trimmed machine's subset walk,
+    refined. The empty language minimizes to the single-state machine with no finals."""
+    t = trim(fst)
+    return _refine(*_subsets(t.arcs, [t.initial]), t.finals)
 
 
 def counterexample(a, b) -> Word | None:

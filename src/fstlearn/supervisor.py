@@ -23,14 +23,13 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .formats import symbol_from_text
+from .formats import letter_from_text
 from .fst import (
     EPS,
     Fst,
     Word,
-    _check_letter,
     _closure,
-    _machine,
+    _refine,
     _subsets,
     close_silent,
     compose,
@@ -40,7 +39,6 @@ from .fst import (
     intersect,
     invert,
     is_prefix_closed,
-    minimize,
 )
 
 
@@ -117,7 +115,8 @@ _TOKEN = re.compile(r"[()*:]|[^()*:\s]+")
 
 
 def pattern_to_fst(text: str) -> Fst:
-    """The machine of a pattern, read token by token with a stack of open groups."""
+    """The machine of a pattern, read token by token with a stack of open groups. Its one walk over
+    subsets of token nodes closed under silent links is refined in place, every token node final."""
     tokens = _TOKEN.findall(text)
     # edges[k] lists node k's (in, out, target) moves, (EPS, EPS) for a silent
     # scaffolding link. Node 0 starts the pattern and the last node ends what is
@@ -130,8 +129,7 @@ def pattern_to_fst(text: str) -> Fst:
             case ["(", left, ":", right, ")"] if left not in "()":
                 if left in "()*:" or right in "()*:":
                     raise FormatError(f"bad pattern {text!r}: malformed letter at token {i}")
-                letter = (symbol_from_text(left), symbol_from_text(right))
-                _check_letter(letter)  # the machines built from it skip Fst's checks
+                letter = letter_from_text(f"{left}:{right}")  # the machines built from it skip Fst's checks
                 item = (len(edges), len(edges) + 1)
                 edges[-1].append((EPS, EPS, item[0]))
                 edges += [[(*letter, item[1])], []]
@@ -155,6 +153,4 @@ def pattern_to_fst(text: str) -> Fst:
         i += 1
     if groups:
         raise FormatError(f"bad pattern {text!r}: {len(groups)} unclosed group(s)")
-    # One walk over subsets of token nodes closed under silent links; all are final.
-    _, moves = _subsets(edges, [0], close=lambda nodes: _closure(edges, nodes))
-    return minimize(_machine(moves, range(len(moves))))
+    return _refine(*_subsets(edges, [0], close=lambda nodes: _closure(edges, nodes)), set(range(len(edges))))

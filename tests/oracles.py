@@ -26,8 +26,6 @@ from fstlearn.fst import (
     SampleSet,
     Word,
     _check_symbol,
-    _successors,
-    explore,
     language_upto,
     minimize,
     trim,
@@ -564,15 +562,30 @@ def ref_determinize(fst: Fst):
     Returns (dtrans, finals): dtrans[k] maps letter -> state index, state 0
     is the initial subset, finals is the set of accepting indices. The
     empty subset is never created (missing letters simply have no entry).
+    Its own breadth-first loop over fst.transitions, letters in sorted
+    order, numbers each subset when it is first found.
     """
-
-    def moves(sub):
-        succ = _successors(fst.arcs, sub)
-        return [(*letter, frozenset(succ[letter])) for letter in sorted(succ)]
-
-    order, edges = explore(frozenset([fst.initial]), moves, "determinization")
+    moves: dict[str, list[tuple[Letter, str]]] = {}
+    for (s, i, o, d) in fst.transitions:
+        moves.setdefault(s, []).append(((i, o), d))
+    order = [frozenset([fst.initial])]
+    index = {order[0]: 0}
+    dtrans = []
+    for sub in order:  # order grows as new subsets are found
+        step: dict[Letter, set[str]] = {}
+        for s in sub:
+            for letter, d in moves.get(s, ()):
+                step.setdefault(letter, set()).add(d)
+        row = {}
+        for letter in sorted(step):
+            target = frozenset(step[letter])
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+            row[letter] = index[target]
+        dtrans.append(row)
     finals = {k for k, sub in enumerate(order) if sub & fst.finals}
-    return [{(i, o): t for i, o, t in out} for out in edges], finals
+    return dtrans, finals
 
 
 def ref_minimize(fst: Fst) -> Fst:
@@ -625,30 +638,26 @@ def ref_counterexample(a: Fst, b: Fst) -> Word | None:
         {l for row in da for l in row} | {l for row in db for l in row}
     )
 
-    def moves(node):
-        sa, sb = node
+    # Its own breadth-first loop over pairs; first[k] is the number of the
+    # pair that first found pair k, and the letter it found it on.
+    order = [(0, 0)]
+    index = {order[0]: 0}
+    first: dict[int, tuple[int, Letter]] = {}
+    for k, (sa, sb) in enumerate(order):  # order grows as new pairs are found
+        if (sa in fa) != (sb in fb):
+            w = []
+            while k:
+                k, letter = first[k]
+                w.append(letter)
+            return tuple(reversed(w))
         for letter in letters:
             ta = da[sa].get(letter) if sa is not None else None
             tb = db[sb].get(letter) if sb is not None else None
-            if ta is not None or tb is not None:
-                yield *letter, (ta, tb)
-
-    def differ(node):
-        return (node[0] in fa) != (node[1] in fb)
-
-    order, edges = explore((0, 0), moves, "equivalence check", differ)
-    k = len(edges)
-    if k == len(order):
-        return None
-    first: dict[int, tuple[int, Letter]] = {}
-    for src, out in enumerate(edges):
-        for i, o, t in out:
-            first.setdefault(t, (src, (i, o)))
-    w = []
-    while k:
-        k, letter = first[k]
-        w.append(letter)
-    return tuple(reversed(w))
+            if (ta is not None or tb is not None) and (ta, tb) not in index:
+                index[ta, tb] = len(order)
+                first[len(order)] = (k, letter)
+                order.append((ta, tb))
+    return None
 
 
 def ref_is_prefix_closed(fst: Fst) -> bool:

@@ -379,6 +379,15 @@ class TestSimulateAndSample:
         assert code == 0
         assert out.read_text() == Path(ATTACKER_DATA).read_text()
 
+    def test_an_empty_language_samples_an_empty_file_that_learn_refuses(self, tmp_path, capsys):
+        attacker, out = tmp_path / "empty.fst", tmp_path / "sampled.txt"
+        attacker.write_text("fst v1\ninitial 0\nfinal 1\ntrans 0 a u 2\n")
+        assert main(["sample", "--attacker", str(attacker), "--out", str(out)]) == 0
+        assert out.read_text() == ""
+        assert main(["learn", "--data", str(out), "--out", str(tmp_path / "learned.fst")]) == 1
+        assert "[learn] dataset is empty" in capsys.readouterr().err
+        assert not (tmp_path / "learned.fst").exists()
+
 
 class TestHankelCommand:
     def test_prints_matrices_and_rank(self, capsys):

@@ -194,6 +194,23 @@ class TestConstruction:
                 finals=frozenset(),
             )
 
+    @pytest.mark.parametrize(
+        "states, initial, moves, message",
+        [
+            ((0,), 0, (), "bad state name 0"),
+            (("0", 1), "0", (), "bad state name 1"),
+            (("0",), "0", [("0", 1, "u", "0")], "bad letter (1, 'u'): symbols must be strings"),
+            # Refused before the letters are sorted, where None and a string do not compare.
+            (("0",), "0", [("0", None, "u", "0"), ("0", "x", "u", "0")], "bad letter (None, 'u'): symbols"),
+            # The least offender by repr, whatever the set's iteration order.
+            (("0",), "0", [("0", None, "u", "0"), ("0", "y", 2, "0")], "bad letter ('y', 2): symbols"),
+        ],
+        ids=["int state", "int state beside a string", "int symbol", "None beside a string", "least by repr"],
+    )
+    def test_name_or_symbol_that_is_not_a_string_rejected(self, states, initial, moves, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            Fst(states, initial, frozenset(moves), frozenset())
+
 
 class TestSampleSet:
     def test_stay_letter_rejected(self):

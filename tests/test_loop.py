@@ -483,6 +483,26 @@ class TestSampleAttacker:
         got = sample_attacker(attacker, 20, 5, seed=seed)
         assert got.words == frozenset({(), (("x", "u"),)})
 
+    def test_an_empty_language_records_nothing(self):
+        # The initial state is not final and no walk ends in a final state.
+        empty = Fst(("0", "1", "2"), "0", frozenset({("0", "a", "u", "2")}), frozenset({"1"}))
+        assert sample_attacker(empty, 20, 5, seed=0).words == frozenset()
+
+    @pytest.mark.parametrize("seed, end", [(0, "2"), (2, "1"), (6, "1")])
+    def test_a_walk_cut_in_a_state_that_is_not_final_adds_no_word(self, seed, end):
+        # Prefix-closed but nondeterministic: a:u leads to final 2 or to 1,
+        # which accepts only after b:v. One walk, cut at max_len 1, ends in
+        # `end` for this seed; ended in 1, it adds not even its prefixes.
+        attacker = Fst(
+            ("0", "1", "2"),
+            "0",
+            frozenset({("0", "a", "u", "1"), ("0", "a", "u", "2"), ("1", "b", "v", "2")}),
+            frozenset({"0", "2"}),
+        )
+        got = sample_attacker(attacker, 1, 1, seed=seed)
+        assert got.words == ({(), (("a", "u"),)} if end in attacker.finals else {()})
+        assert all(ref_accepts(attacker, w) for w in got.words)
+
     def test_deterministic_per_seed(self, demo_attacker):
         a = sample_attacker(demo_attacker, 25, 4, seed=7)
         b = sample_attacker(demo_attacker, 25, 4, seed=7)

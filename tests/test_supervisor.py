@@ -349,6 +349,17 @@ class TestPatternToFst:
 
         assert read(pattern_to_fst) == read(ref_pattern_to_fst)
 
+    def test_a_pattern_is_read_in_one_subset_walk(self, monkeypatch):
+        # The walk over closed subsets of token nodes is refined as it is:
+        # no machine is built from it to be trimmed and walked again.
+        calls = []
+        for name in ("explore", "trim"):
+            real = getattr(fst_module, name)
+            monkeypatch.setattr(fst_module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        made = pattern_to_fst("((a1:s2)(a2:s2))*")
+        assert calls == ["explore"]
+        assert fst_to_text(made) == fst_to_text(ref_pattern_to_fst("((a1:s2)(a2:s2))*"))
+
     def test_nesting_depth_is_not_bounded_by_recursion(self):
         depth = sys.getrecursionlimit()
         deep = pattern_to_fst("(" * depth + "(x:u)" + ")" * depth)
