@@ -16,26 +16,26 @@ import sys
 import warnings
 
 from .errors import AnalysisError, FormatError, FstlearnError
-from .formats import (
-    grid,
-    letter_to_text,
-    load_dataset,
-    load_fst,
-    save_dataset,
-    save_fst,
-    word_to_text,
-)
+from .formats import grid, letter_to_text, load_dataset, load_fst, save_dataset, save_fst, word_to_text
 from .fst import Fst, counterexample
-from .hankel import block_rows, default_mask_len, find_basis
-from .loop import LoopConfig, format_trace, run, sample_attacker
-from .spectral import LearnResult, learn_pipeline
-from .supervisor import SynthesisResult, pattern_to_fst, synthesize, verify_resilient
+
+# A command imports the learner, loop and supervisor modules it runs only when it
+# runs, and reads their names there at each call (the docstring is --help's text).
+
+
+def __getattr__(name: str):
+    # learn_pipeline, synthesize and the package's other public names, loaded on first use (PEP 562).
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(package, name)
 
 
 def _load_mk(spec_text: str) -> Fst:
     # A value starting with '(' is a desired-language pattern like
     # ((a1:s2)(a2:s2))*; anything else names a machine file.
     if spec_text.lstrip().startswith("("):
+        from .supervisor import pattern_to_fst
         return pattern_to_fst(spec_text)
     return load_fst(spec_text)
 
@@ -77,6 +77,8 @@ def pipeline(
     dump_dir: str | None = None,
 ) -> SynthesisResult:
     """Learn both channel attackers, synthesize, and verify."""
+    from .spectral import learn_pipeline
+    from .supervisor import synthesize, verify_resilient
     results: dict[str, LearnResult] = {}
     for channel, path in (("sensor", sensor_data_path), ("actuator", actuator_data_path)):
         try:
@@ -105,6 +107,7 @@ def _verdict(yes: str, witness) -> int:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
+    from .spectral import learn_pipeline
     res = learn_pipeline(load_dataset(args.data))
     if args.dump_intermediates is not None:
         _dump_learn(res, args.dump_intermediates)
@@ -113,6 +116,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .supervisor import synthesize
     s = synthesize(_load_mk(args.mk), load_fst(args.sensor_attacker), load_fst(args.actuator_attacker))
     save_fst(s, args.out)
     return 0
@@ -124,11 +128,13 @@ def _loop_machines(args: argparse.Namespace) -> tuple[Fst, ...]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .supervisor import verify_resilient
     result = verify_resilient(*_loop_machines(args), _load_mk(args.mk))
     return _verdict("RESILIENT", result.witness)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .loop import LoopConfig, format_trace, run
     machines = _loop_machines(args)
     try:
         cfg = LoopConfig(*machines, max_steps=args.steps, seed=args.seed)
@@ -144,6 +150,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from .loop import sample_attacker
     d = sample_attacker(
         load_fst(args.attacker),
         n_words=args.n,
@@ -156,6 +163,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_hankel(args: argparse.Namespace) -> int:
+    from .hankel import block_rows, default_mask_len, find_basis
     d = load_dataset(args.data)
     mask = find_basis(d, default_mask_len(d))
     psi, gamma, theta = mask.prefixes, mask.suffixes, block_rows(d, mask, ())

@@ -73,7 +73,7 @@ def _alphabet(letters) -> tuple[Letter, ...]:
 
 
 def _check_state(name: str) -> None:
-    if not isinstance(name, str) or not _STATE.fullmatch(name) or name in _RESERVED:
+    if not _STATE.fullmatch(name) or name in _RESERVED:
         raise FormatError(f"bad state name {name!r}")
 
 
@@ -92,11 +92,13 @@ class Fst:
     finals: frozenset[str]
 
     def __post_init__(self):
-        states = tuple(dict.fromkeys(self.states))
-        trans = frozenset(self.transitions)
-        finals = frozenset(self.finals)
+        states, finals = tuple(self.states), tuple(self.finals)
         if not states:
             raise FormatError("a machine needs at least one state")
+        odd = [repr(s) for s in (*states, self.initial, *finals) if not isinstance(s, str)]
+        if odd:  # before any name is hashed or sorted, and the least by repr, as _alphabet names letters
+            raise FormatError(f"bad state name {min(odd)}")
+        states, trans, finals = tuple(dict.fromkeys(states)), frozenset(self.transitions), frozenset(finals)
         known = set(states)
         for s in states:
             _check_state(s)
@@ -104,9 +106,9 @@ class Fst:
             raise FormatError(f"initial state {self.initial!r} not among states")
         if not finals <= known:
             raise FormatError(f"final states {sorted(finals - known)} not among states")
-        for (s, i, o, d) in trans:
-            if s not in known or d not in known:
-                raise FormatError(f"transition ({s},{i},{o},{d}) references unknown state")
+        stray = [(s, i, o, d) for (s, i, o, d) in trans if s not in known or d not in known]
+        if stray:  # the least by repr, whatever the set's iteration order
+            raise FormatError("transition ({},{},{},{}) references unknown state".format(*min(stray, key=repr)))
         _alphabet({(i, o) for (_, i, o, _) in trans})
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", trans)

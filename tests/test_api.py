@@ -23,6 +23,12 @@ def test_learner_names_are_the_submodules_own_objects():
     assert fstlearn.TOL_RANK is fstlearn.hankel.TOL_RANK
 
 
+def test_supervisor_names_are_the_submodules_own_objects():
+    # cli imports them when a command runs, and serves them as attributes.
+    assert fstlearn.cli.synthesize is fstlearn.supervisor.synthesize
+    assert fstlearn.cli.verify_resilient is fstlearn.supervisor.verify_resilient
+
+
 def test_dir_lists_every_exported_name():
     assert set(fstlearn.__all__) <= set(dir(fstlearn))
 

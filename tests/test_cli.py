@@ -665,41 +665,73 @@ class TestHashSeedIndependence:
         assert run_demo("1") == first
 
 
-class TestNumpyLoadsOnlyToLearn:
-    # A fresh interpreter runs one command through main and reports its
-    # exit code and whether numpy was imported along the way. Learning and
-    # hankel are exact; only the dumped float intermediates need numpy.
-    CHILD = ("import sys; from fstlearn.cli import main; "
-             "code = main(sys.argv[1:]); print(code, 'numpy' in sys.modules)")
+def _run_in_fresh_interpreter(tmp_path, supervisor: str, command: str) -> list[str]:
+    """Run one command through main in a fresh interpreter.
 
+    Returns main's exit code, whether numpy was imported along the way
+    and the names of the fstlearn submodules loaded, sorted, as strings.
+    """
+    child = ("import sys; from fstlearn.cli import main; code = main(sys.argv[1:]); "
+             "print(code, 'numpy' in sys.modules, *sorted(m for m in sys.modules if m.startswith('fstlearn.')))")
+    argv = {
+        "verify": ["--plant", PLANT, "--supervisor", supervisor, "--sensor-attacker", SENSOR,
+                   "--actuator-attacker", ATTACKER, "--mk", MK],
+        "simulate": ["--plant", PLANT, "--supervisor", supervisor,
+                     "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER, "--steps", "4"],
+        "synth": ["--mk", MK, "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER,
+                  "--out", str(tmp_path / "supervisor.fst")],
+        "equiv": [ATTACKER, ATTACKER],
+        "sample": ["--attacker", ATTACKER, "--out", str(tmp_path / "recorded.txt")],
+        "learn": ["--data", ATTACKER_DATA, "--out", str(tmp_path / "attacker.fst")],
+        "pipeline": ["--sensor-data", SENSOR_DATA, "--actuator-data", ATTACKER_DATA, "--plant", PLANT,
+                     "--mk", MK],
+        "learn-dump": ["--data", ATTACKER_DATA, "--out", str(tmp_path / "attacker.fst"),
+                       "--dump-intermediates", str(tmp_path / "dump")],
+        "hankel": ["--data", ATTACKER_DATA],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, command.split("-")[0], *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+class TestNumpyLoadsOnlyToLearn:
+    # Learning and hankel are exact; only the dumped float intermediates need numpy.
     @pytest.mark.parametrize(
         "command, loads_numpy",
         [("verify", False), ("simulate", False), ("synth", False), ("equiv", False), ("sample", False),
          ("learn", False), ("pipeline", False), ("learn-dump", True), ("hankel", False)],
     )
     def test_only_learning_imports_numpy(self, tmp_path, golden_supervisor_file, command, loads_numpy):
-        argv = {
-            "verify": ["--plant", PLANT, "--supervisor", golden_supervisor_file, "--sensor-attacker", SENSOR,
-                       "--actuator-attacker", ATTACKER, "--mk", MK],
-            "simulate": ["--plant", PLANT, "--supervisor", golden_supervisor_file,
-                         "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER, "--steps", "4"],
-            "synth": ["--mk", MK, "--sensor-attacker", SENSOR, "--actuator-attacker", ATTACKER,
-                      "--out", str(tmp_path / "supervisor.fst")],
-            "equiv": [ATTACKER, ATTACKER],
-            "sample": ["--attacker", ATTACKER, "--out", str(tmp_path / "recorded.txt")],
-            "learn": ["--data", ATTACKER_DATA, "--out", str(tmp_path / "attacker.fst")],
-            "pipeline": ["--sensor-data", SENSOR_DATA, "--actuator-data", ATTACKER_DATA, "--plant", PLANT,
-                         "--mk", MK],
-            "learn-dump": ["--data", ATTACKER_DATA, "--out", str(tmp_path / "attacker.fst"),
-                           "--dump-intermediates", str(tmp_path / "dump")],
-            "hankel": ["--data", ATTACKER_DATA],
-        }[command]
-        proc = subprocess.run(
-            [sys.executable, "-c", self.CHILD, command.split("-")[0], *argv],
-            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
-        )
+        code, numpy_loaded, *_ = _run_in_fresh_interpreter(tmp_path, golden_supervisor_file, command)
+        assert (code, numpy_loaded) == ("0", str(loads_numpy))
+
+
+class TestEachCommandLoadsOnlyTheModulesItRuns:
+    # errors, formats and fst load with the package and cli with main; the
+    # learner, the loop and the supervisor only with a command that runs them.
+    @pytest.mark.parametrize(
+        "command, runs",
+        [("learn", "hankel spectral"), ("pipeline", "hankel spectral supervisor"), ("verify", "supervisor"),
+         ("synth", "supervisor"), ("simulate", "loop"), ("sample", "loop"), ("hankel", "hankel"), ("equiv", "")],
+    )
+    def test_command_loads_the_eager_modules_and_those_it_runs(self, tmp_path, golden_supervisor_file, command, runs):
+        code, _, *loaded = _run_in_fresh_interpreter(tmp_path, golden_supervisor_file, command)
+        assert code == "0"
+        assert loaded == sorted(f"fstlearn.{m}" for m in f"cli errors formats fst {runs}".split())
+
+    def test_package_loads_the_rest_on_first_use(self):
+        child = ("import sys, fstlearn; print(*sorted(m for m in sys.modules if m.startswith('fstlearn'))); "
+                 "print(*(getattr(fstlearn, m).__name__ for m in ('hankel', 'loop', 'spectral', 'supervisor')))")
+        proc = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+        assert proc.stdout.splitlines() == [
+            "fstlearn fstlearn.errors fstlearn.formats fstlearn.fst",
+            "fstlearn.hankel fstlearn.loop fstlearn.spectral fstlearn.supervisor",
+        ]
 
 
 def _subparsers() -> dict[str, argparse.ArgumentParser]:

@@ -183,6 +183,29 @@ class TestConstruction:
                 assert twin.arcs == machine.arcs
                 assert trim(twin) == trim(machine)
 
+    def test_least_transition_with_an_unknown_state_is_reported(self):
+        # Independent of set iteration order, hence of PYTHONHASHSEED.
+        moves = {("0", "a", "b", "x"), ("0", "a", "b", "y"), ("0", "c", "d", "z")}
+        with pytest.raises(FormatError, match=re.escape("transition (0,a,b,x) references unknown state")):
+            Fst(("0",), "0", moves, ())
+
+    @pytest.mark.parametrize(
+        "states, initial, finals, message",
+        [
+            ((["0"],), "0", (), "bad state name ['0']"),
+            (("0",), ["0"], (), "bad state name ['0']"),
+            (("0",), "0", [["0"]], "bad state name ['0']"),
+            # Refused before the unknown finals are sorted, where 1 and "x" do not compare.
+            (("0",), "0", {1, "x"}, "bad state name 1"),
+            # The least offender by repr, whatever the set's iteration order.
+            (("0",), "0", {2, None, "0"}, "bad state name 2"),
+        ],
+        ids=["list state", "list initial", "list final", "int final beside a string", "least by repr"],
+    )
+    def test_name_that_is_not_hashable_or_not_comparable_rejected(self, states, initial, finals, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            Fst(states, initial, frozenset(), finals)
+
     def test_first_bad_symbol_in_sorted_order_is_reported(self):
         # Independent of set iteration order, hence of PYTHONHASHSEED: the
         # letters are checked in sorted order, as SampleSet checks them.
