@@ -92,13 +92,25 @@ class Fst:
     finals: frozenset[str]
 
     def __post_init__(self):
-        states, finals = tuple(self.states), tuple(self.finals)
+        states, trans, finals = tuple(self.states), tuple(self.transitions), tuple(self.finals)
         if not states:
             raise FormatError("a machine needs at least one state")
-        odd = [repr(s) for s in (*states, self.initial, *finals) if not isinstance(s, str)]
-        if odd:  # before any name is hashed or sorted, and the least by repr, as _alphabet names letters
+        # Shapes and types before anything is hashed, unpacked or sorted, each offender the least by
+        # repr, as _alphabet names letters; the scans by type keep well-formed machines cheap.
+        if set(map(type, trans)) - {tuple} or set(map(len, trans)) - {4}:
+            odd = [repr(t) for t in trans if not isinstance(t, tuple) or len(t) != 4]
+            if odd:
+                raise FormatError(f"malformed transition {min(odd)}: expected a (src, in, out, dst) tuple")
+        names = (*states, self.initial, *finals)
+        loose = set(map(type, chain.from_iterable(trans))) - {str}
+        if loose:  # some state or symbol of a transition is not a plain string
+            names += tuple(end for (s, _, _, d) in trans for end in (s, d))
+        odd = [repr(s) for s in names if not isinstance(s, str)]
+        if odd:
             raise FormatError(f"bad state name {min(odd)}")
-        states, trans, finals = tuple(dict.fromkeys(states)), frozenset(self.transitions), frozenset(finals)
+        if loose:
+            _alphabet([(i, o) for (_, i, o, _) in trans])
+        states, trans, finals = tuple(dict.fromkeys(states)), frozenset(trans), frozenset(finals)
         known = set(states)
         for s in states:
             _check_state(s)

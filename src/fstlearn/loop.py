@@ -14,7 +14,8 @@ only when the supervisor has no transition to choose at substep 1.
 
 Every nondeterministic choice is drawn uniformly, as `randrange` draws,
 by one seeded generator over sorted transition lists indexed once per
-config, so a (config, seed) pair fixes the whole trace.
+config, each stored with its length and draw width, so a (config, seed)
+pair fixes the whole trace.
 
 A run builds each distinct step record once and shares it among the
 ticks that repeat it, so equal steps in one trace may be one object;
@@ -76,12 +77,14 @@ class LoopConfig:
                 raise ValueError(f"{name} must be trim")
 
     @cached_property
-    def _moves(self) -> tuple[dict, dict, dict, dict]:
-        """Each machine's moves by what it reads, built once: (actuator, plant, sensor, supervisor).
+    def _moves(self) -> tuple[dict, dict, dict, dict, dict]:
+        """Each machine's moves by what it reads, built once: (actuator, plant, sensor, supervisor, commands).
 
         A mid-loop machine maps (state, in) to its (out, dst) options, a missing key being a stall;
-        the supervisor maps (state, in, out) to its (dst,) options. Options keep `arcs` order with
-        the implicit stay last, the order that fixes every draw; tuples, which the collector skips.
+        the supervisor maps (state, in, out) to its (dst,) options, and `commands` maps each
+        supervisor state with a move to its outputs alpha, one per arc. Options keep `arcs` order
+        with the implicit stay last, the order that fixes every draw, and each is stored draw-ready
+        as (n, k, options), n = len(options) and k = n.bit_length(); tuples, which the collector skips.
         """
         index: tuple[dict, ...] = ({}, {}, {}, {})
         machines = (self.actuator_attacker, self.plant, self.sensor_attacker, self.supervisor)
@@ -89,7 +92,11 @@ class LoopConfig:
             for state, moves in machine.arcs.items():
                 for move in (*moves, (EPS, EPS, state)):
                     table.setdefault((state, *move[:reads]), []).append(move[reads:])
-        return tuple({key: tuple(options) for key, options in table.items()} for table in index)
+        commands = {state: [out for _, out, _ in moves] for state, moves in self.supervisor.arcs.items() if moves}
+        return tuple(
+            {key: (len(options), len(options).bit_length(), tuple(options)) for key, options in table.items()}
+            for table in (*index, commands)
+        )
 
 
 @dataclass(frozen=True)
@@ -135,33 +142,66 @@ def step(
     record is built fresh.
     """
     records = {} if records is None else records
-    sup_moves = cfg.supervisor.arcs[states.supervisor]
-    if not sup_moves:
+    actuator, plant, sensor, supervisor, commands = cfg._moves
+    drawn = commands.get(states.supervisor)
+    if drawn is None:
         return TERMINATED_DEADLOCK, None, states
-    actuator, plant, sensor, supervisor = cfg._moves
+    # Each draw is _pick's, inlined on the stored (n, k, options): a tick makes no call to draw.
     bits = rng.getrandbits
-    alpha = _pick(bits, sup_moves)[1]
+    n, k, options = drawn
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    alpha = options[r]
 
     # A mid-loop machine with no option for its symbol stalls and emits nothing.
-    options = actuator.get((states.actuator, alpha))
-    alpha_c, act_state = _pick(bits, options) if options else (EPS, states.actuator)
-    options = plant.get((states.plant, alpha_c))
-    sigma, plant_state = _pick(bits, options) if options else (EPS, states.plant)
-    options = sensor.get((states.sensor, sigma))
-    sigma_c, sensor_state = _pick(bits, options) if options else (EPS, states.sensor)
+    drawn = actuator.get((states.actuator, alpha))
+    if drawn is None:
+        alpha_c, act_state = EPS, states.actuator
+    else:
+        n, k, options = drawn
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        alpha_c, act_state = options[r]
+    drawn = plant.get((states.plant, alpha_c))
+    if drawn is None:
+        sigma, plant_state = EPS, states.plant
+    else:
+        n, k, options = drawn
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        sigma, plant_state = options[r]
+    drawn = sensor.get((states.sensor, sigma))
+    if drawn is None:
+        sigma_c, sensor_state = EPS, states.sensor
+    else:
+        n, k, options = drawn
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        sigma_c, sensor_state = options[r]
 
     # The supervisor committed alpha before seeing sigma_c; it now moves
     # by any transition matching the observed pair, not necessarily the
     # arc it drew alpha from.
-    targets = supervisor.get((states.supervisor, sigma_c, alpha))
-    sup_state = _pick(bits, targets)[0] if targets else states.supervisor
+    drawn = supervisor.get((states.supervisor, sigma_c, alpha))
+    if drawn is None:
+        sup_state = states.supervisor
+    else:
+        n, k, options = drawn
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        sup_state = options[r][0]
 
     key = (alpha, alpha_c, sigma, sigma_c, sup_state, act_state, plant_state, sensor_state)
     record = records.get(key)
     if record is None:
         new_states = LoopState(sup_state, act_state, plant_state, sensor_state)
         record = records[key] = StepRecord(alpha, alpha_c, sigma, sigma_c, new_states)
-    return ("ok" if targets else TERMINATED_ALARM), record, record.states
+    return ("ok" if drawn else TERMINATED_ALARM), record, record.states
 
 
 def run(cfg: LoopConfig) -> LoopTrace:

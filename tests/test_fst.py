@@ -234,6 +234,29 @@ class TestConstruction:
         with pytest.raises(FormatError, match=re.escape(message)):
             Fst(states, initial, frozenset(moves), frozenset())
 
+    @pytest.mark.parametrize(
+        "moves, message",
+        [
+            ([["0", "a", "b", "0"]], "malformed transition ['0', 'a', 'b', '0']"),
+            ([("0", "a", "b")], "malformed transition ('0', 'a', 'b')"),
+            ([("0", "a", "b", "0", "0")], "malformed transition ('0', 'a', 'b', '0', '0')"),
+            ("abcd", "malformed transition 'a'"),
+            # A string of four characters is not four state and symbol names.
+            (["0abc"], "malformed transition '0abc'"),
+            ([("0", ["a"], "b", "0")], "bad letter (['a'], 'b'): symbols must be strings"),
+            ([("0", "a", "b", ["0"])], "bad state name ['0']"),
+            # State "0" exists, but the int 0 is not its name.
+            ([("0", "a", "b", 0)], "bad state name 0"),
+            # The least offender by repr, whatever the order it comes in.
+            ([["0", "a", "b", "0"], ("0", "a")], "malformed transition ('0', 'a')"),
+        ],
+        ids=["list", "3-tuple", "5-tuple", "a string of transitions", "string transition",
+             "list symbol", "list state", "int state", "least by repr"],
+    )
+    def test_malformed_transition_rejected(self, moves, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            Fst(("0",), "0", moves, ("0",))
+
 
 class TestSampleSet:
     def test_stay_letter_rejected(self):

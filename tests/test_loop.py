@@ -417,6 +417,31 @@ ANYTHING = Fst(
 )
 
 
+def fanned(fans: dict) -> Fst:
+    """An all-final machine: from state s, reading i and writing o, it moves to each of fans[s, i, o]."""
+    arcs = frozenset((s, i, o, d) for (s, i, o), targets in fans.items() for d in targets)
+    states = tuple(sorted({s for s, _, _, _ in arcs}))
+    return Fst(states, "0", arcs, frozenset(states))
+
+
+# Each key these machines are read by has 3 or 4 options, and the sensor
+# always reports a, so every tick of their loop draws five times, from 3 or
+# 4 options: 3 is not a power of two and 4 is, so randrange's rejection
+# loop runs both ways. A supervisor state's arcs share one (a, alpha) and
+# fan out to 3 or 4 targets, so the target drawn need not be the one on
+# the arc alpha was drawn from.
+FAN_SUPERVISOR = fanned({("0", "a", "a"): "012", ("1", "a", "b"): "0123", ("2", "a", "a"): "123", ("3", "a", "b"): "0123"})
+FAN_RELAY = fanned(
+    {("0", "a", "a"): "01", ("0", "a", "b"): "2", ("0", "b", "a"): "01", ("0", "b", "b"): "12",
+     ("1", "a", "a"): "2", ("1", "a", "b"): "012", ("1", "b", "b"): "012",
+     ("2", "a", "a"): "012", ("2", "b", "a"): "02", ("2", "b", "b"): "01"}
+)
+FAN_SENSOR = fanned(
+    {("0", "a", "a"): "012", ("0", "b", "a"): "0123", ("1", "a", "a"): "0123", ("1", "b", "a"): "123",
+     ("2", "a", "a"): "023", ("2", "b", "a"): "0123", ("3", "a", "a"): "013", ("3", "b", "a"): "0123"}
+)
+
+
 class TestAgainstTheReference:
     """The indexed tick and its bit-level draw give the reference's traces."""
 
@@ -430,6 +455,7 @@ class TestAgainstTheReference:
         st.integers(0, 2**32),
     )
     @example(identity_fst(["a"]), ANYTHING, identity_fst(["a", "b"]), FIVE_WAY, 25, 0)
+    @example(FAN_RELAY, FAN_SUPERVISOR, FAN_SENSOR, FAN_RELAY, 25, 7)
     def test_same_trace(self, plant, supervisor, sensor, actuator, max_steps, seed):
         cfg = LoopConfig(
             plant=plant,
@@ -440,6 +466,39 @@ class TestAgainstTheReference:
             seed=seed,
         )
         assert run(cfg) == ref_run(cfg)
+
+
+class TestMoveIndex:
+    """The index `step` draws from: every option list with its length and draw width."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(loop_machines(), loop_machines(), loop_machines(), loop_machines())
+    def test_each_entry_is_draw_ready_in_arcs_order_with_the_stay_last(self, plant, supervisor, sensor, actuator):
+        cfg = LoopConfig(plant=plant, supervisor=supervisor, sensor_attacker=sensor,
+                         actuator_attacker=actuator, max_steps=0, seed=0)
+        *tables, commands = cfg._moves
+        for machine, table, reads in zip((actuator, plant, sensor, supervisor), tables, (1, 1, 1, 2)):
+            keys = set()
+            for state, arcs in machine.arcs.items():
+                moves = (*arcs, (EPS, EPS, state))
+                for move in moves:
+                    key = (state, *move[:reads])
+                    options = tuple(m[reads:] for m in moves if m[:reads] == move[:reads])
+                    assert table[key] == (len(options), len(options).bit_length(), options)
+                    keys.add(key)
+            assert set(table) == keys
+        outputs = {s: tuple(o for _, o, _ in arcs) for s, arcs in supervisor.arcs.items() if arcs}
+        assert commands == {s: (len(o), len(o).bit_length(), o) for s, o in outputs.items()}
+
+    def test_commands_list_each_arcs_output_and_omit_states_without_moves(self, demo_plant, identity_sensor):
+        # Sorted, state 0's arcs are (a, a, 0), (a, b, 2), (b, a, 1): alpha a
+        # is listed twice, as _pick over the arcs would draw it; 2 has no move.
+        supervisor = Fst(("0", "1", "2"), "0", frozenset(
+            {("0", "b", "a", "1"), ("0", "a", "a", "0"), ("0", "a", "b", "2"), ("1", "a", "a", "0")}
+        ), frozenset({"0", "1", "2"}))
+        cfg = LoopConfig(plant=demo_plant, supervisor=supervisor, sensor_attacker=identity_sensor,
+                         actuator_attacker=identity_sensor, max_steps=0, seed=0)
+        assert cfg._moves[4] == {"0": (3, 2, ("a", "b", "a")), "1": (1, 1, ("a",))}
 
 
 class TestDraw:
