@@ -92,7 +92,13 @@ class Fst:
     finals: frozenset[str]
 
     def __post_init__(self):
-        states, trans, finals = tuple(self.states), tuple(self.transitions), tuple(self.finals)
+        try:
+            states, trans, finals = tuple(self.states), tuple(self.transitions), tuple(self.finals)
+        except TypeError:  # a field that is not a collection at all, named as SampleSet names its word set
+            for name, of in (("states", "state names"), ("transitions", "(src, in, out, dst) tuples"),
+                             ("finals", "state names")):
+                _refuse_types({type(getattr(self, name))}, name, f"an iterable of {of}")
+            raise
         if not states:
             raise FormatError("a machine needs at least one state")
         # Shapes and types before anything is hashed, unpacked or sorted, each offender the least by

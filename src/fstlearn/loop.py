@@ -119,19 +119,6 @@ def initial_state(cfg: LoopConfig) -> LoopState:
     )
 
 
-def _pick(bits, options):
-    """options[rng.randrange(len(options))] for bits = rng.getrandbits, in two calls fewer.
-
-    This is CPython's `_randbelow_with_getrandbits`, so the stream is the same; one option still draws.
-    """
-    n = len(options)
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return options[r]
-
-
 def step(
     cfg: LoopConfig, states: LoopState, rng: random.Random, records: dict | None = None
 ) -> tuple[str, StepRecord | None, LoopState]:
@@ -146,7 +133,8 @@ def step(
     drawn = commands.get(states.supervisor)
     if drawn is None:
         return TERMINATED_DEADLOCK, None, states
-    # Each draw is _pick's, inlined on the stored (n, k, options): a tick makes no call to draw.
+    # Each draw is randrange's body, CPython's _randbelow_with_getrandbits, inlined on the stored
+    # (n, k, options): the stream is randrange's, one option still draws, and a tick makes no call to draw.
     bits = rng.getrandbits
     n, k, options = drawn
     r = bits(k)
@@ -257,7 +245,7 @@ def sample_attacker(
             outs = attacker.arcs[state]
             if not outs:
                 break
-            i, o, dst = _pick(rng.getrandbits, outs)
+            i, o, dst = rng.choice(outs)
             walk.append((i, o))
             state = dst
         if state in attacker.finals:

@@ -257,6 +257,27 @@ class TestConstruction:
         with pytest.raises(FormatError, match=re.escape(message)):
             Fst(("0",), "0", moves, ("0",))
 
+    @pytest.mark.parametrize(
+        "states, moves, finals, message",
+        [
+            (("0",), 5, (), "bad transitions of type int: expected an iterable of (src, in, out, dst) tuples"),
+            (5, (), (), "bad states of type int: expected an iterable of state names"),
+            (("0",), (), 7, "bad finals of type int: expected an iterable of state names"),
+        ],
+        ids=["transitions", "states", "finals"],
+    )
+    def test_field_that_is_not_iterable_rejected(self, states, moves, finals, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            Fst(states, "0", moves, finals)
+
+    def test_type_error_raised_while_reading_an_iterable_field_propagates(self):
+        def states():
+            yield "0"
+            raise TypeError("raised by the caller's iterable")
+
+        with pytest.raises(TypeError, match="^raised by the caller's iterable$"):
+            Fst(states(), "0", (), ())
+
 
 class TestSampleSet:
     def test_stay_letter_rejected(self):
@@ -358,6 +379,7 @@ class TestSampleSet:
         d = SampleSet.from_words([(("x", "u"), ("x", "u")), (("x", "u"), ("y", EPS)), (("y", EPS),)])
         assert checked == ["x", "u", "y", EPS]
         assert d.alphabet == (("x", "u"), ("y", EPS))
+        assert len(d) == 3
 
     def test_from_words_accepts_any_iterable_of_letter_sequences(self):
         words = [(("x", "u"), ("y", EPS)), (), (("x", "u"),)]

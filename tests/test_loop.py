@@ -23,7 +23,7 @@ from fstlearn import (
     sample_attacker,
     trim,
 )
-from fstlearn.loop import _pick, initial_state, step
+from fstlearn.loop import initial_state, step
 from conftest import DEMO_WORDS
 from oracles import ref_accepts, ref_run
 
@@ -492,23 +492,13 @@ class TestMoveIndex:
 
     def test_commands_list_each_arcs_output_and_omit_states_without_moves(self, demo_plant, identity_sensor):
         # Sorted, state 0's arcs are (a, a, 0), (a, b, 2), (b, a, 1): alpha a
-        # is listed twice, as _pick over the arcs would draw it; 2 has no move.
+        # is listed twice, as a draw over the arcs would give it; 2 has no move.
         supervisor = Fst(("0", "1", "2"), "0", frozenset(
             {("0", "b", "a", "1"), ("0", "a", "a", "0"), ("0", "a", "b", "2"), ("1", "a", "a", "0")}
         ), frozenset({"0", "1", "2"}))
         cfg = LoopConfig(plant=demo_plant, supervisor=supervisor, sensor_attacker=identity_sensor,
                          actuator_attacker=identity_sensor, max_steps=0, seed=0)
         assert cfg._moves[4] == {"0": (3, 2, ("a", "b", "a")), "1": (1, 1, ("a",))}
-
-
-class TestDraw:
-    def test_pick_draws_as_randrange(self):
-        # On every supported CPython the bit-level draw must keep
-        # randrange's stream, or every seeded trace changes.
-        for seed in range(10):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            for n in range(1, 71):
-                assert _pick(ours.getrandbits, range(n)) == theirs.randrange(n)
 
 
 class TestSampleAttacker:
