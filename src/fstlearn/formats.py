@@ -78,13 +78,12 @@ def fst_to_text(f: Fst) -> str:
 
 
 def fst_from_text(text: str) -> Fst:
-    """Each distinct state name and letter is checked on the line it first appears on, which a
-    bad one names; the machine is built from parts so checked, without Fst's checks."""
+    """Each distinct state name is checked on the line it first appears on, and each letter on every
+    line; a bad one is named at its first line; the machine is built without Fst's checks."""
     initial = None
     finals: list[str] = []
     trans: list[tuple[str, str, str, str]] = []
     states: dict[str, None] = {}
-    letters: set[Letter] = set()
     saw_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -110,9 +109,7 @@ def fst_from_text(text: str) -> Fst:
                     raise FormatError("expected 'trans src in out dst'")
                 _, s, i, o, d = toks
                 letter = (symbol_from_text(i), symbol_from_text(o))
-                if letter not in letters:
-                    _check_letter(letter)
-                    letters.add(letter)
+                _check_letter(letter)
                 trans.append((s, *letter, d))
                 named = [s, d]
             else:

@@ -61,11 +61,15 @@ def _check_letter(letter) -> None:
         _check_symbol(sym)
 
 
-def _alphabet(letters) -> tuple[Letter, ...]:
-    """The distinct letters, sorted and checked; a symbol that is not a string is refused first."""
+def _refuse_loose_symbols(letters) -> None:
+    """Refuse a letter with a symbol that is not a string, before any letter is hashed or sorted."""
     odd = [repr(l) for l in letters if not all(isinstance(sym, str) for sym in l)]
     if odd:  # the least by repr, so that the letter named does not depend on hash order
         raise FormatError(f"bad letter {min(odd)}: symbols must be strings")
+
+
+def _alphabet(letters) -> tuple[Letter, ...]:
+    """The distinct letters, of string symbols, sorted and checked."""
     alphabet = tuple(sorted(set(letters)))
     for letter in alphabet:
         _check_letter(letter)
@@ -84,6 +88,13 @@ class Fst:
     Transitions are (src, in, out, dst) quadruples. Explicit (eps, eps)
     transitions are rejected: the stay transition is implicit at every
     state. `arcs` is the machine's transition index.
+
+    `states`, `transitions` and `finals` may each be any iterable but a
+    string or a mapping; each is read once. The first fault is refused with
+    FormatError, in this order: a field's type, no states, a malformed
+    transition, a name and then a symbol that is not a string, a bad state
+    name, an unknown initial state, final state and then transition end,
+    and a bad letter. Which offender is named never depends on set order.
     """
 
     states: tuple[str, ...]
@@ -92,45 +103,34 @@ class Fst:
     finals: frozenset[str]
 
     def __post_init__(self):
-        try:
-            states, trans, finals = tuple(self.states), tuple(self.transitions), tuple(self.finals)
-        except TypeError:  # a field that is not a collection at all, named as SampleSet names its word set
-            for name, of in (("states", "state names"), ("transitions", "(src, in, out, dst) tuples"),
-                             ("finals", "state names")):
-                _refuse_types({type(getattr(self, name))}, name, f"an iterable of {of}")
-            raise
+        states = _field(self.states, "states", "state names")
+        trans = _field(self.transitions, "transitions", "(src, in, out, dst) tuples")
+        finals = _field(self.finals, "finals", "state names")
         if not states:
             raise FormatError("a machine needs at least one state")
-        # Shapes and types before anything is hashed, unpacked or sorted, each offender the least by
-        # repr, as _alphabet names letters; the scans by type keep well-formed machines cheap.
-        if set(map(type, trans)) - {tuple} or set(map(len, trans)) - {4}:
-            odd = [repr(t) for t in trans if not isinstance(t, tuple) or len(t) != 4]
-            if odd:
-                raise FormatError(f"malformed transition {min(odd)}: expected a (src, in, out, dst) tuple")
-        names = (*states, self.initial, *finals)
-        loose = set(map(type, chain.from_iterable(trans))) - {str}
-        if loose:  # some state or symbol of a transition is not a plain string
-            names += tuple(end for (s, _, _, d) in trans for end in (s, d))
-        odd = [repr(s) for s in names if not isinstance(s, str)]
+        # Shapes and types before anything is hashed, unpacked or sorted, each offender the least by repr.
+        odd = [repr(t) for t in trans if not isinstance(t, tuple) or len(t) != 4]
+        if odd:
+            raise FormatError(f"malformed transition {min(odd)}: expected a (src, in, out, dst) tuple")
+        ends = chain.from_iterable((s, d) for (s, _, _, d) in trans)
+        odd = [repr(s) for s in chain(states, (self.initial,), finals, ends) if not isinstance(s, str)]
         if odd:
             raise FormatError(f"bad state name {min(odd)}")
-        if loose:
-            _alphabet([(i, o) for (_, i, o, _) in trans])
+        letters = [(i, o) for (_, i, o, _) in trans]
+        _refuse_loose_symbols(letters)
         states, trans, finals = tuple(dict.fromkeys(states)), frozenset(trans), frozenset(finals)
-        known = set(states)
         for s in states:
             _check_state(s)
+        known = set(states)
         if self.initial not in known:
             raise FormatError(f"initial state {self.initial!r} not among states")
         if not finals <= known:
             raise FormatError(f"final states {sorted(finals - known)} not among states")
         stray = [(s, i, o, d) for (s, i, o, d) in trans if s not in known or d not in known]
-        if stray:  # the least by repr, whatever the set's iteration order
+        if stray:
             raise FormatError("transition ({},{},{},{}) references unknown state".format(*min(stray, key=repr)))
-        _alphabet({(i, o) for (_, i, o, _) in trans})
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "transitions", trans)
-        object.__setattr__(self, "finals", finals)
+        _alphabet(letters)
+        self.__dict__.update(states=states, transitions=trans, finals=finals)  # frozen: set as _trusted sets them
 
     @cached_property
     def arcs(self) -> MappingProxyType[str, tuple[tuple[str, str, str], ...]]:
@@ -163,29 +163,31 @@ def _refuse_types(kinds, what: str, expected: str, refused=()) -> None:
         raise FormatError(f"bad {what} of type {odd[0]}: expected {expected}")
 
 
+def _field(value, what: str, items: str) -> tuple:
+    """The items of a collection field, read once; a string, a mapping or a value that is not iterable is refused."""
+    _refuse_types({type(value)}, what, f"an iterable of {items}", (str, Mapping))
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Deduplicated positive sample words plus their observed letter alphabet.
 
     Every word is assumed to be a true member of the target language; the
-    toolkit validates shape only, never veracity. `words` may be any iterable
-    of letter sequences; each distinct letter is checked once, in sorted order.
-    A word is a sequence of letters and a letter an (in, out) sequence of
-    strings; anything else, a set, mapping or iterator among them, raises
-    FormatError. The length index `by_length[n]` holds the words of length
-    n, for n up to the longest; built on first use.
+    toolkit validates shape only, never veracity. `words` is read once, as
+    `Fst` reads a field: any iterable of words but a string or a mapping.
+    Each distinct letter is checked once, in sorted order. A word is a
+    sequence of letters and a letter an (in, out) sequence of strings;
+    anything else, a set, mapping or iterator among them, raises
+    FormatError. `by_length[n]` holds the words of length n, for n up to
+    the longest; built on first use.
     """
 
     words: frozenset[Word]
     alphabet: tuple[Letter, ...] = field(init=False)
 
     def __post_init__(self):
-        try:
-            words = iter(self.words)
-        except TypeError:  # not a collection of words at all
-            kind = type(self.words).__name__
-            raise FormatError(f"bad word set of type {kind}: expected an iterable of words") from None
-        words = list(words)  # the one pass over any iterable
+        words = _field(self.words, "word set", "words")
         _refuse_types(set(map(type, words)), "word", "a sequence of letters", (Set, Mapping))
         words = list(map(tuple, words))  # a tuple is not copied
         try:  # the distinct letters, so that each type below is read once
@@ -197,6 +199,7 @@ class SampleSet:
             _refuse_types(kinds, "letter", "an (in, out) pair", (str, Set, Mapping, Iterator))
             words = [tuple(map(tuple, w)) for w in words]
             letters = list(map(tuple, letters))
+        _refuse_loose_symbols(letters)
         alphabet = _alphabet(letters)
         object.__setattr__(self, "words", frozenset(words))  # every symbol is a string, so every word is hashable
         object.__setattr__(self, "alphabet", alphabet)
@@ -645,11 +648,6 @@ def is_prefix_closed(fst: Fst) -> bool:
 
 
 def identity_fst(symbols) -> Fst:
-    """Single-state transducer copying each given symbol to itself."""
-    syms = sorted(set(symbols) - {EPS})
-    return Fst(
-        states=("0",),
-        initial="0",
-        transitions=frozenset(("0", x, x, "0") for x in syms),
-        finals=frozenset(("0",)),
-    )
+    """Single-state transducer copying each given symbol to itself; symbols is read as Fst reads a field."""
+    moves = [("0", x, x, "0") for x in _field(symbols, "symbols", "symbols") if x != EPS]
+    return Fst(states=("0",), initial="0", transitions=moves, finals=("0",))

@@ -112,18 +112,30 @@ class TestConstruction:
     def test_no_states_rejected(self):
         with pytest.raises(FormatError, match="at least one state"):
             Fst(states=(), initial="0", transitions=frozenset(), finals=frozenset())
+        # Before a malformed transition.
+        with pytest.raises(FormatError, match="at least one state"):
+            Fst(states=(), initial="0", transitions=[("0", "a")], finals=())
 
     def test_transition_to_an_unknown_state_rejected(self):
         with pytest.raises(FormatError, match="unknown state"):
             Fst(states=("0",), initial="0", transitions=frozenset({("0", "x", "u", "9")}), finals=frozenset())
+        # Before a bad symbol, which the letter rule refuses last.
+        with pytest.raises(FormatError, match=re.escape("transition (0,x,u,9) references unknown state")):
+            Fst(("0",), "0", [("0", "c d", "u", "0"), ("0", "x", "u", "9")], ())
 
     def test_unknown_initial_rejected(self):
         with pytest.raises(FormatError):
             Fst(states=("0",), initial="9", transitions=frozenset(), finals=frozenset())
+        # Before a bad symbol.
+        with pytest.raises(FormatError, match="^initial state '9' not among states$"):
+            Fst(("0",), "9", [("0", "c d", "u", "0")], ())
 
     def test_unknown_final_rejected(self):
         with pytest.raises(FormatError):
             Fst(states=("0",), initial="0", transitions=frozenset(), finals=frozenset({"9"}))
+        # Before a transition to an unknown state.
+        with pytest.raises(FormatError, match=re.escape("final states ['9'] not among states")):
+            Fst(("0",), "0", [("0", "x", "u", "9")], ("9",))
 
     def test_explicit_stay_letter_rejected(self):
         with pytest.raises(FormatError):
@@ -162,6 +174,9 @@ class TestConstruction:
                 Fst(states=("0", bad), initial="0", transitions=frozenset(), finals=frozenset())
         m = Fst(states=("q:1",), initial="q:1", transitions=frozenset(), finals=frozenset())
         assert m.states == ("q:1",)
+        # A bad state name before a bad symbol.
+        with pytest.raises(FormatError, match=re.escape("bad state name 'a b'")):
+            Fst(("0", "a b"), "0", [("0", "c d", "u", "0")], ())
 
 
     def test_pickle_and_copy_keep_working_once_the_index_is_built(self):
@@ -227,8 +242,12 @@ class TestConstruction:
             (("0",), "0", [("0", None, "u", "0"), ("0", "x", "u", "0")], "bad letter (None, 'u'): symbols"),
             # The least offender by repr, whatever the set's iteration order.
             (("0",), "0", [("0", None, "u", "0"), ("0", "y", 2, "0")], "bad letter ('y', 2): symbols"),
+            # A name that is not a string before a symbol that is not one, and that before a bad name.
+            (("0", 1), "0", [("0", 1, "u", "0")], "bad state name 1"),
+            (("0", "a b"), "0", [("0", 1, "u", "0")], "bad letter (1, 'u'): symbols must be strings"),
         ],
-        ids=["int state", "int state beside a string", "int symbol", "None beside a string", "least by repr"],
+        ids=["int state", "int state beside a string", "int symbol", "None beside a string", "least by repr",
+             "int state before int symbol", "int symbol before bad state name"],
     )
     def test_name_or_symbol_that_is_not_a_string_rejected(self, states, initial, moves, message):
         with pytest.raises(FormatError, match=re.escape(message)):
@@ -240,7 +259,8 @@ class TestConstruction:
             ([["0", "a", "b", "0"]], "malformed transition ['0', 'a', 'b', '0']"),
             ([("0", "a", "b")], "malformed transition ('0', 'a', 'b')"),
             ([("0", "a", "b", "0", "0")], "malformed transition ('0', 'a', 'b', '0', '0')"),
-            ("abcd", "malformed transition 'a'"),
+            # A string is not read as its characters.
+            ("abcd", "bad transitions of type str: expected an iterable of (src, in, out, dst) tuples"),
             # A string of four characters is not four state and symbol names.
             (["0abc"], "malformed transition '0abc'"),
             ([("0", ["a"], "b", "0")], "bad letter (['a'], 'b'): symbols must be strings"),
@@ -249,9 +269,11 @@ class TestConstruction:
             ([("0", "a", "b", 0)], "bad state name 0"),
             # The least offender by repr, whatever the order it comes in.
             ([["0", "a", "b", "0"], ("0", "a")], "malformed transition ('0', 'a')"),
+            # A malformed transition before a state name that is not a string.
+            ([("0", "a", "b", 0), ("0", "a")], "malformed transition ('0', 'a')"),
         ],
         ids=["list", "3-tuple", "5-tuple", "a string of transitions", "string transition",
-             "list symbol", "list state", "int state", "least by repr"],
+             "list symbol", "list state", "int state", "least by repr", "malformed before int state"],
     )
     def test_malformed_transition_rejected(self, moves, message):
         with pytest.raises(FormatError, match=re.escape(message)):
@@ -263,8 +285,14 @@ class TestConstruction:
             (("0",), 5, (), "bad transitions of type int: expected an iterable of (src, in, out, dst) tuples"),
             (5, (), (), "bad states of type int: expected an iterable of state names"),
             (("0",), (), 7, "bad finals of type int: expected an iterable of state names"),
+            # A string or a mapping is not read as its characters or its keys.
+            ("01", (), (), "bad states of type str: expected an iterable of state names"),
+            (("0",), (), "10", "bad finals of type str: expected an iterable of state names"),
+            (("0",), (), {"0": True}, "bad finals of type dict: expected an iterable of state names"),
+            (("0",), {("0", "a", "b", "0"): 1}, (),
+             "bad transitions of type dict: expected an iterable of (src, in, out, dst) tuples"),
         ],
-        ids=["transitions", "states", "finals"],
+        ids=["transitions", "states", "finals", "string states", "string finals", "dict finals", "dict transitions"],
     )
     def test_field_that_is_not_iterable_rejected(self, states, moves, finals, message):
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
@@ -362,7 +390,8 @@ class TestSampleSet:
             SampleSet.from_words(w for w in [[("x", "u")], None])
 
     def test_word_set_that_is_not_iterable_rejected(self):
-        for words, kind in ((5, "int"), (None, "NoneType")):
+        # A string or a mapping is not read as its characters or its keys.
+        for words, kind in ((5, "int"), (None, "NoneType"), ("ab", "str"), ({(("x", "u"),): 1}, "dict")):
             message = f"^bad word set of type {kind}: expected an iterable of words$"
             with pytest.raises(FormatError, match=message):
                 SampleSet.from_words(words)
@@ -468,6 +497,9 @@ class TestCompose:
         ident = identity_fst(("a1", "a2", "a3"))
         assert equivalent(compose(demo_attacker, ident), demo_attacker)
         assert equivalent(compose(ident, demo_attacker), demo_attacker)
+        # A string of symbols is refused, not read as the symbols a and 1.
+        with pytest.raises(FormatError, match="^bad symbols of type str: expected an iterable of symbols$"):
+            identity_fst("a1")
 
     def test_empty_message_forwarding(self):
         # a drops x (emits the empty message); b can consume an empty
