@@ -14,12 +14,14 @@ only when the supervisor has no transition to choose at substep 1.
 
 Every nondeterministic choice is drawn uniformly, as `randrange` draws,
 by one seeded generator over sorted transition lists indexed once per
-config, each stored with its length and draw width, so a (config, seed)
-pair fixes the whole trace.
+config by state and then by the symbol read, each stored with its length
+and draw width, so a (config, seed) pair fixes the whole trace.
 
 A run builds each distinct step record once and shares it among the
 ticks that repeat it, so equal steps in one trace may be one object;
-the table of records dies with the run.
+the table of records dies with the run. A new record and its states are
+filled straight into their instance dicts, field by field, not through
+the frozen dataclasses' generated `__init__`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from .formats import symbol_to_text
 from .errors import AnalysisError
@@ -35,6 +38,8 @@ from .fst import EPS, Fst, SampleSet, Word, is_prefix_closed, language_upto, tri
 TERMINATED_MAX_STEPS = "max_steps"
 TERMINATED_ALARM = "alarm"
 TERMINATED_DEADLOCK = "deadlock"
+
+_NO_MOVES = MappingProxyType({})  # a state a move table lacks reads every symbol as a stall
 
 
 @dataclass(frozen=True)
@@ -78,25 +83,29 @@ class LoopConfig:
 
     @cached_property
     def _moves(self) -> tuple[dict, dict, dict, dict, dict]:
-        """Each machine's moves by what it reads, built once: (actuator, plant, sensor, supervisor, commands).
+        """Each machine's moves by state and what it reads, built once: (actuator, plant, sensor, supervisor, commands).
 
-        A mid-loop machine maps (state, in) to its (out, dst) options, a missing key being a stall;
-        the supervisor maps (state, in, out) to its (dst,) options, and `commands` maps each
-        supervisor state with a move to its outputs alpha, one per arc. Options keep `arcs` order
-        with the implicit stay last, the order that fixes every draw, and each is stored draw-ready
-        as (n, k, options), n = len(options) and k = n.bit_length(); tuples, which the collector skips.
+        A mid-loop machine maps each state to its (out, dst) options by the symbol in, a missing
+        symbol being a stall; the supervisor maps each state to its (dst,) options by (in, out), and
+        `commands` maps each supervisor state with a move to its outputs alpha, one per arc. Options
+        keep `arcs` order with the implicit stay last, the order that fixes every draw, and each is
+        stored draw-ready as (n, k, options), n = len(options) and k = n.bit_length(); tuples, which
+        the collector skips.
         """
+
+        def ready(lists: dict) -> dict:
+            return {key: (len(o), len(o).bit_length(), tuple(o)) for key, o in lists.items()}
+
         index: tuple[dict, ...] = ({}, {}, {}, {})
         machines = (self.actuator_attacker, self.plant, self.sensor_attacker, self.supervisor)
         for machine, table, reads in zip(machines, index, (1, 1, 1, 2)):
             for state, moves in machine.arcs.items():
+                by_read: dict = {}
                 for move in (*moves, (EPS, EPS, state)):
-                    table.setdefault((state, *move[:reads]), []).append(move[reads:])
+                    by_read.setdefault(move[0] if reads == 1 else move[:2], []).append(move[reads:])
+                table[state] = ready(by_read)
         commands = {state: [out for _, out, _ in moves] for state, moves in self.supervisor.arcs.items() if moves}
-        return tuple(
-            {key: (len(options), len(options).bit_length(), tuple(options)) for key, options in table.items()}
-            for table in (*index, commands)
-        )
+        return (*index, ready(commands))
 
 
 @dataclass(frozen=True)
@@ -143,7 +152,7 @@ def step(
     alpha = options[r]
 
     # A mid-loop machine with no option for its symbol stalls and emits nothing.
-    drawn = actuator.get((states.actuator, alpha))
+    drawn = actuator.get(states.actuator, _NO_MOVES).get(alpha)
     if drawn is None:
         alpha_c, act_state = EPS, states.actuator
     else:
@@ -152,7 +161,7 @@ def step(
         while r >= n:
             r = bits(k)
         alpha_c, act_state = options[r]
-    drawn = plant.get((states.plant, alpha_c))
+    drawn = plant.get(states.plant, _NO_MOVES).get(alpha_c)
     if drawn is None:
         sigma, plant_state = EPS, states.plant
     else:
@@ -161,7 +170,7 @@ def step(
         while r >= n:
             r = bits(k)
         sigma, plant_state = options[r]
-    drawn = sensor.get((states.sensor, sigma))
+    drawn = sensor.get(states.sensor, _NO_MOVES).get(sigma)
     if drawn is None:
         sigma_c, sensor_state = EPS, states.sensor
     else:
@@ -174,7 +183,7 @@ def step(
     # The supervisor committed alpha before seeing sigma_c; it now moves
     # by any transition matching the observed pair, not necessarily the
     # arc it drew alpha from.
-    drawn = supervisor.get((states.supervisor, sigma_c, alpha))
+    drawn = supervisor.get(states.supervisor, _NO_MOVES).get((sigma_c, alpha))
     if drawn is None:
         sup_state = states.supervisor
     else:
@@ -187,8 +196,11 @@ def step(
     key = (alpha, alpha_c, sigma, sigma_c, sup_state, act_state, plant_state, sensor_state)
     record = records.get(key)
     if record is None:
-        new_states = LoopState(sup_state, act_state, plant_state, sensor_state)
-        record = records[key] = StepRecord(alpha, alpha_c, sigma, sigma_c, new_states)
+        # Filled in field order as Fst._trusted fills a machine, without __init__'s setattr per field.
+        new_states = object.__new__(LoopState)
+        new_states.__dict__.update(supervisor=sup_state, actuator=act_state, plant=plant_state, sensor=sensor_state)
+        record = records[key] = object.__new__(StepRecord)
+        record.__dict__.update(alpha=alpha, alpha_c=alpha_c, sigma=sigma, sigma_c=sigma_c, states=new_states)
     return ("ok" if drawn else TERMINATED_ALARM), record, record.states
 
 

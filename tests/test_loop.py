@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -23,7 +25,7 @@ from fstlearn import (
     sample_attacker,
     trim,
 )
-from fstlearn.loop import initial_state, step
+from fstlearn.loop import LoopState, StepRecord, initial_state, step
 from conftest import DEMO_WORDS
 from oracles import ref_accepts, ref_run
 
@@ -119,13 +121,21 @@ class TestResilientRuns:
         assert len({id(r) for r in fresh}) == 12 and len(table) == 2
 
     def test_records_stay_frozen_hashable_dataclasses(self, resilient_cfg):
+        # A run's first record is built on a fresh key: step fills it in rather than calling StepRecord(...).
         record = run(resilient_cfg(max_steps=1)).steps[0]
+        assert list(vars(record)) == ["alpha", "alpha_c", "sigma", "sigma_c", "states"]
         assert list(vars(record.states)) == ["supervisor", "actuator", "plant", "sensor"]
+        built = StepRecord(record.alpha, record.alpha_c, record.sigma, record.sigma_c,
+                           LoopState(*dataclasses.astuple(record.states)))
+        assert record == built and hash(record) == hash(built)
         assert hash(record) == hash(dataclasses.replace(record))
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.alpha = "a2"
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.states.plant = "0"
+        trace = run(resilient_cfg(max_steps=12))
+        assert pickle.loads(pickle.dumps(trace)) == trace
+        assert copy.deepcopy(trace) == trace
 
     def test_zero_steps(self, resilient_cfg):
         trace = run(resilient_cfg(max_steps=0))
@@ -197,6 +207,15 @@ class TestNaiveSupervisorAlarm:
 
 
 class TestDeadlockAndIdentity:
+    @pytest.mark.parametrize("machine, out", [("actuator", "alpha_c"), ("plant", "sigma"), ("sensor", "sigma_c")])
+    def test_a_state_the_machine_lacks_stalls_it(self, resilient_cfg, machine, out):
+        cfg = resilient_cfg()
+        states = dataclasses.replace(initial_state(cfg), **{machine: "nowhere"})
+        kind, record, after = step(cfg, states, random.Random(0))
+        assert getattr(record, out) == EPS and getattr(after, machine) == "nowhere"
+        # The supervisor then observes nothing where it expects s2.
+        assert kind == "alarm" and after.supervisor == states.supervisor
+
     def test_supervisor_with_no_move_deadlocks(
         self, demo_plant, identity_sensor, demo_attacker
     ):
@@ -478,15 +497,15 @@ class TestMoveIndex:
                          actuator_attacker=actuator, max_steps=0, seed=0)
         *tables, commands = cfg._moves
         for machine, table, reads in zip((actuator, plant, sensor, supervisor), tables, (1, 1, 1, 2)):
-            keys = set()
+            # Keyed by state, then by the symbol read (a mid-loop machine) or the (in, out) pair (the supervisor).
+            assert set(table) == set(machine.states)
             for state, arcs in machine.arcs.items():
                 moves = (*arcs, (EPS, EPS, state))
                 for move in moves:
-                    key = (state, *move[:reads])
+                    read = move[0] if reads == 1 else move[:2]
                     options = tuple(m[reads:] for m in moves if m[:reads] == move[:reads])
-                    assert table[key] == (len(options), len(options).bit_length(), options)
-                    keys.add(key)
-            assert set(table) == keys
+                    assert table[state][read] == (len(options), len(options).bit_length(), options)
+                assert set(table[state]) == {m[0] if reads == 1 else m[:2] for m in moves}
         outputs = {s: tuple(o for _, o, _ in arcs) for s, arcs in supervisor.arcs.items() if arcs}
         assert commands == {s: (len(o), len(o).bit_length(), o) for s, o in outputs.items()}
 
